@@ -149,6 +149,16 @@ impl LambdaClock {
         self.last = self.last.max(self.offset);
     }
 
+    /// Lifts the offset so that `round` stamps at least `hint` (a skip
+    /// tick's merge-slot hint, ordered in `round`). Never lowers the
+    /// offset, so stamps stay monotone; a hint the clock already meets is
+    /// a no-op. Observers that apply the same hints at the same points of
+    /// the ring's stream keep identical clocks.
+    pub fn raise(&mut self, hint: u64, round: Round) {
+        let quantized = round.as_u64() / self.lambda;
+        self.offset = self.offset.max(hint.saturating_sub(quantized));
+    }
+
     /// The highest slot issued so far (zero before any stamp).
     pub fn current(&self) -> u64 {
         self.last
@@ -206,6 +216,58 @@ mod tests {
         // A stale (smaller) base is ignored.
         c.align(epoch_base(4));
         assert_eq!(c.stamp(Round::new(1)), epoch_base(12) + 1);
+    }
+
+    #[test]
+    fn raise_lifts_the_ticks_own_stamp_and_never_lowers() {
+        let mut c = LambdaClock::new(2);
+        assert_eq!(c.stamp(Round::new(4)), 2);
+        // A slot hint above the clock: round 6 now stamps the hint.
+        c.raise(40, Round::new(6));
+        assert_eq!(c.stamp(Round::new(6)), 40);
+        assert_eq!(c.stamp(Round::new(8)), 41);
+        // A hint the clock already meets changes nothing.
+        c.raise(10, Round::new(10));
+        assert_eq!(c.stamp(Round::new(10)), 42);
+        // Nor does a hint below a later round's quantized value.
+        c.raise(0, Round::new(100));
+        assert_eq!(c.stamp(Round::new(12)), 43);
+    }
+
+    #[test]
+    fn raised_stamps_stay_monotone() {
+        let mut c = LambdaClock::new(1);
+        let mut last = 0;
+        for (i, hint) in [5u64, 0, 90, 3, 91, 400, 7].into_iter().enumerate() {
+            let round = Round::new(i as u64 * 3);
+            c.raise(hint, round);
+            for r in [round.as_u64(), round.as_u64() + 1] {
+                let slot = c.stamp(Round::new(r));
+                assert!(slot >= last, "stamp regressed");
+                last = slot;
+            }
+            assert!(last >= hint, "the tick's round stamps at least its hint");
+        }
+    }
+
+    #[test]
+    fn clocks_fed_the_same_stream_agree() {
+        // Interleave stamps, aligns and raises; two clocks fed the same
+        // sequence issue the same slots.
+        let feed = |c: &mut LambdaClock| -> Vec<u64> {
+            let mut out = Vec::new();
+            for i in 0..60u64 {
+                match i % 7 {
+                    0 => c.align(epoch_base(i / 7)),
+                    3 => c.raise(i * i * 1_000, Round::new(i)),
+                    _ => out.push(c.stamp(Round::new(i))),
+                }
+            }
+            out
+        };
+        let (mut a, mut b) = (LambdaClock::new(3), LambdaClock::new(3));
+        assert_eq!(feed(&mut a), feed(&mut b));
+        assert_eq!(a.current(), b.current());
     }
 
     #[test]

@@ -282,19 +282,54 @@ pub fn tick_payload_with_epoch(epoch: u64) -> Bytes {
     Bytes::from(buf)
 }
 
+/// A tick payload carrying an epoch hint and a merge-slot hint: the
+/// highest merge slot any ring's lane has stamped in the submitting
+/// daemon's merger. Ordered on a ring whose rounds (and therefore slots)
+/// lag the others — an idle ring whose leader holds the token turns far
+/// fewer rounds than a busy one — it lets every observer of that ring
+/// lift the ring's merge clock to the slot at the same point of the
+/// stream.
+pub fn tick_payload_with_slot(epoch: u64, slot: u64) -> Bytes {
+    let mut buf = Vec::with_capacity(17);
+    buf.push(TAG_TICK);
+    buf.extend_from_slice(&epoch.to_be_bytes());
+    buf.extend_from_slice(&slot.to_be_bytes());
+    Bytes::from(buf)
+}
+
+/// The hints a skip tick carries; zero where its form has none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tick {
+    /// Configuration-epoch hint (see [`tick_payload_with_epoch`]).
+    pub epoch: u64,
+    /// Merge-slot hint (see [`tick_payload_with_slot`]).
+    pub slot: u64,
+}
+
+/// Recognizes a tick payload in any of its three forms (1, 9 or 17
+/// bytes). `None` for anything else, including a tick-tagged payload of
+/// any other length.
+pub fn decode_tick(payload: &[u8]) -> Option<Tick> {
+    let be = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte field"));
+    match payload {
+        [TAG_TICK] => Some(Tick { epoch: 0, slot: 0 }),
+        [TAG_TICK, rest @ ..] if rest.len() == 8 => Some(Tick {
+            epoch: be(rest),
+            slot: 0,
+        }),
+        [TAG_TICK, rest @ ..] if rest.len() == 16 => Some(Tick {
+            epoch: be(&rest[..8]),
+            slot: be(&rest[8..]),
+        }),
+        _ => None,
+    }
+}
+
 /// Recognizes a tick payload, returning the epoch hint it carries
 /// (zero for the minimal epochless form). `None` for anything that is
 /// not a tick.
 pub fn parse_tick(payload: &[u8]) -> Option<u64> {
-    match payload {
-        [TAG_TICK] => Some(0),
-        [TAG_TICK, rest @ ..] if rest.len() == 8 => {
-            let mut be = [0u8; 8];
-            be.copy_from_slice(rest);
-            Some(u64::from_be_bytes(be))
-        }
-        _ => None,
-    }
+    decode_tick(payload).map(|t| t.epoch)
 }
 
 /// Coalesces small payloads into packets of at most `budget` bytes.
@@ -618,6 +653,40 @@ mod tests {
         assert_eq!(parse_tick(b"plain data"), None);
         assert_eq!(parse_tick(&[]), None);
         assert!(matches!(unpack(tick), Err(DecodeError::BadKind(TAG_TICK))));
+    }
+
+    #[test]
+    fn slot_ticks_round_trip_and_every_other_length_is_rejected() {
+        let tick = tick_payload_with_slot(0x0102_0304, 0xdead_beef_0042);
+        assert_eq!(tick.len(), 17);
+        assert_eq!(
+            decode_tick(&tick),
+            Some(Tick {
+                epoch: 0x0102_0304,
+                slot: 0xdead_beef_0042
+            })
+        );
+        assert_eq!(parse_tick(&tick), Some(0x0102_0304));
+        assert!(matches!(unpack(tick), Err(DecodeError::BadKind(TAG_TICK))));
+        // The older forms still parse, with a zero slot hint.
+        assert_eq!(
+            decode_tick(&tick_payload()),
+            Some(Tick { epoch: 0, slot: 0 })
+        );
+        assert_eq!(
+            decode_tick(&tick_payload_with_epoch(9)),
+            Some(Tick { epoch: 9, slot: 0 })
+        );
+        for len in (0..40).filter(|l| ![1, 9, 17].contains(l)) {
+            let mut bad = vec![0u8; len];
+            if let Some(first) = bad.first_mut() {
+                *first = TAG_TICK;
+            }
+            assert_eq!(decode_tick(&bad), None, "length {len}");
+        }
+        let mut untagged = tick_payload_with_slot(1, 2).to_vec();
+        untagged[0] = TAG_BARE;
+        assert_eq!(decode_tick(&untagged), None);
     }
 
     #[test]

@@ -206,6 +206,12 @@ impl MultiRingEngine {
         self.merger.blocking_rings()
     }
 
+    /// Rings that need a slot-hint tick, with the slot to hint (see
+    /// [`Merger::lagging_rings`](crate::merge::Merger::lagging_rings)).
+    pub fn lagging_rings(&self) -> Vec<(RingIdx, u64)> {
+        self.merger.lagging_rings()
+    }
+
     /// Migration lifecycle counters this engine has accumulated.
     pub fn migration_counters(&self) -> MigrationCounters {
         self.counters
@@ -673,12 +679,16 @@ impl MultiRingEngine {
         } else {
             stats.delivered_agreed += 1;
         }
-        if let Some(epoch) = accelring_daemon::packing::parse_tick(&delivery.payload) {
+        if let Some(tick) = packing::decode_tick(&delivery.payload) {
             // Skip ticks carry the highest configuration counter seen
             // across rings: aligning this ring's clock to that epoch
             // base keeps an idle, never-reforming ring from stalling
-            // the merge behind a reformed ring's epoch.
-            let released = self.merger.advance_to(ring, epoch, delivery.round);
+            // the merge behind a reformed ring's epoch. A slot hint then
+            // lifts the clock past rounds the ring never turned while
+            // its leader held the idle token.
+            let released = self
+                .merger
+                .advance_hinted(ring, tick.epoch, tick.slot, delivery.round);
             return self.release(released);
         }
         if let Some(mig) = packing::parse_mig(&delivery.payload) {

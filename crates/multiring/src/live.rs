@@ -19,14 +19,22 @@
 //!
 //! The merge cannot release past a ring that is silent: nothing proves
 //! the silent ring will not later order a message with a smaller merge
-//! slot. Daemons whose node holds participant id 0 on a blocking ring
-//! submit *skip ticks* on it — ordered no-ops carrying the highest
-//! regular-configuration counter seen across all rings
-//! ([`accelring_daemon::packing::tick_payload_with_epoch`]). Being
-//! ordered on the lagging ring makes the advance intrinsic to that
+//! slot. Each ring's *tick leader* — the lowest pid of the ring's
+//! current regular configuration — submits *skip ticks* on it: ordered
+//! no-ops carrying the highest regular-configuration counter seen across
+//! all rings ([`accelring_daemon::packing::tick_payload_with_epoch`]),
+//! once the ring has been silent for [`MultiRingOptions::tick_interval`].
+//! Being ordered on the lagging ring makes the advance intrinsic to that
 //! ring's stream: every observer aligns the ring's λ-clock identically,
 //! and a ring that never reformed catches up to a reformed ring's
 //! epoch base.
+//!
+//! Rings also turn rounds at different speeds — an idle ring's leader
+//! holds its token — so a busy ring's merge slots outrun an idle ring's.
+//! Whenever [`MultiRingEngine::lagging_rings`] names a ring, its tick
+//! leader orders a tick that also carries a merge-slot hint
+//! ([`accelring_daemon::packing::tick_payload_with_slot`]), one
+//! outstanding at a time, lifting the ring's clock to the others'.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -34,8 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, FrontendStats, ParticipantId, RingIdx, Service, ShedCause};
-use accelring_daemon::packing::tick_payload_with_epoch;
+use accelring_core::{Backoff, FrontendStats, RingIdx, Service, ShedCause};
+use accelring_daemon::packing::{tick_payload_with_epoch, tick_payload_with_slot};
 use accelring_daemon::proto::SessionFrame;
 use accelring_daemon::{
     ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
@@ -88,8 +96,10 @@ pub struct MultiRingOptions {
     pub engine: EngineOptions,
     /// Merge pace: token rounds per merge slot.
     pub lambda: u64,
-    /// How often the tick leader checks for blocking rings and orders a
-    /// skip tick on them. Bounds the merge latency an idle ring adds.
+    /// How long a ring may stay silent before its tick leader orders an
+    /// epoch-carrying skip tick on it. Merge pacing between busy and
+    /// idle rings does not wait for it: slot-hint ticks go out as soon as
+    /// a ring's merge watermark trails (see the module docs).
     pub tick_interval: Duration,
     /// How long an in-flight group migration may wait for its readiness
     /// barrier before this daemon escalates to abort (the Abort is
@@ -578,6 +588,12 @@ struct Pump {
     /// Highest regular-configuration counter seen on any ring; carried
     /// by skip ticks so lagging rings align to the newest epoch base.
     max_epoch: u64,
+    /// Per ring: whether this daemon is the ring's tick leader — the
+    /// lowest pid of the ring's current regular configuration.
+    tick_leader: Vec<bool>,
+    /// Per ring: a slot-hint tick this daemon ordered that the ring has
+    /// not delivered anything since (at most one is outstanding).
+    hint_outstanding: Vec<bool>,
     /// Submissions a ring's bounded queue refused, replayed in FIFO
     /// order under jittered backoff instead of being dropped — a held
     /// migration flush must not vanish to backpressure.
@@ -1070,6 +1086,8 @@ fn pump(
         shared,
         reported_frontend: FrontendStats::default(),
         max_epoch: 0,
+        tick_leader: vec![false; nodes.len()],
+        hint_outstanding: vec![false; nodes.len()],
         retries: VecDeque::new(),
         retry_backoff: Backoff::new(
             Duration::from_millis(2),
@@ -1146,12 +1164,15 @@ fn pump(
                 match nodes[k].events().try_recv() {
                     Ok(AppEvent::Delivered(d)) => {
                         last_delivery[k] = Instant::now();
+                        p.hint_outstanding[k] = false;
                         let outputs = p.engine.on_delivery(ring, &d);
                         p.dispatch(outputs, &nodes);
                     }
                     Ok(AppEvent::Config(c)) => {
+                        p.hint_outstanding[k] = false;
                         if !c.transitional {
                             p.max_epoch = p.max_epoch.max(c.ring_id.counter());
+                            p.tick_leader[k] = c.members.iter().min() == Some(&pid);
                         }
                         let outputs = p.engine.on_config_change(ring, &c);
                         p.dispatch(outputs, &nodes);
@@ -1175,25 +1196,37 @@ fn pump(
         p.service_catchup();
         p.mirror_recovery_counters();
 
-        // Skip ticks, the Multi-Ring Paxos coordinator-skip rule: the
-        // participant-0 daemon orders an epoch-carrying no-op on any
-        // ring that has been silent for a tick interval, whether or not
-        // its *own* merge is blocked — other daemons' mergers may be
+        // Skip ticks, the Multi-Ring Paxos coordinator-skip rule. Each
+        // ring's tick leader orders an epoch-carrying no-op on its ring
+        // once the ring has been silent for a tick interval, whether or
+        // not its *own* merge is blocked — other daemons' mergers may be
         // waiting on the idle ring even when this one has nothing
         // queued. The tick's delivery resets the idleness clock, so a
         // persistently idle ring costs one tiny ordered message per
         // interval; being ordered on the ring makes the advance (and
         // the epoch alignment of a never-reforming ring) intrinsic to
         // the ring's stream, identical at every observer.
-        if nodes[0].pid() == ParticipantId::new(0) {
-            for (k, last) in last_delivery.iter_mut().enumerate() {
-                if last.elapsed() >= options.tick_interval {
-                    let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);
-                    // Also reset on submission: while the ring cannot
-                    // order (reforming, partitioned), at most one tick
-                    // per interval is queued, not one per loop spin.
-                    *last = Instant::now();
-                }
+        for (k, last) in last_delivery.iter_mut().enumerate() {
+            if p.tick_leader[k] && last.elapsed() >= options.tick_interval {
+                let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);
+                // Also reset on submission: while the ring cannot
+                // order (reforming, partitioned), at most one tick
+                // per interval is queued, not one per loop spin.
+                *last = Instant::now();
+            }
+        }
+        // Slot-hint ticks pace the merge across rings that turn rounds
+        // at different speeds: a ring whose watermark trails the others'
+        // gets a tick lifting its merge clock to theirs, one at a time.
+        for (ring, slot) in p.engine.lagging_rings() {
+            let k = ring.as_usize();
+            if p.tick_leader[k]
+                && !p.hint_outstanding[k]
+                && nodes[k]
+                    .submit(tick_payload_with_slot(p.max_epoch, slot), Service::Agreed)
+                    .is_ok()
+            {
+                p.hint_outstanding[k] = true;
             }
         }
         p.mux.flush_egress();

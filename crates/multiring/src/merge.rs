@@ -21,6 +21,14 @@
 //! tick messages on idle rings, and their deliveries advance the
 //! watermark through [`Merger::advance`] without enqueuing anything. A
 //! permanently dead ring is removed with [`Merger::retire`].
+//!
+//! Rings do not turn rounds at the same speed: an idle ring's leader
+//! holds the token, so a busy ring's slots outrun an idle ring's. A tick
+//! that only advanced the idle ring through its *own* rounds would leave
+//! it ever further behind. So a tick may also carry a merge-slot hint,
+//! and [`Merger::advance_hinted`] lifts the ring's clock to it; the
+//! runtime finds the rings that need one with [`Merger::lagging_rings`]
+//! (Stretching Multi-Ring Paxos' skip instances play the same role).
 
 use std::collections::VecDeque;
 
@@ -187,6 +195,41 @@ impl<T> Merger<T> {
             .collect()
     }
 
+    /// Rings that need a slot-hint tick, each with the slot to hint: every
+    /// live ring whose watermark trails the highest live watermark (the
+    /// highest slot any lane has stamped), lifted to that watermark; and
+    /// a ring that blocks the head of the merged stream at a tie, lifted
+    /// just past the head (a lower-indexed ring must pass the slot, a
+    /// higher-indexed one only reach it).
+    ///
+    /// Unlike [`blocking_rings`](Merger::blocking_rings), the first rule
+    /// needs nothing queued here, so a daemon with no local subscribers
+    /// still paces the rings for every other daemon. The rule settles:
+    /// a hint lifts a ring to the highest watermark and no further, so
+    /// once the rings stop delivering, they stop needing hints.
+    pub fn lagging_rings(&self) -> Vec<(RingIdx, u64)> {
+        let high = self
+            .rings
+            .iter()
+            .filter(|l| !l.retired)
+            .map(|l| l.floor)
+            .max()
+            .unwrap_or(0);
+        let head = self.min_head();
+        self.rings
+            .iter()
+            .enumerate()
+            .filter(|(_, lane)| !lane.retired)
+            .filter_map(|(q, lane)| {
+                let need = match head {
+                    Some((slot, ring)) if ring != q => high.max(slot + u64::from(q < ring)),
+                    _ => high,
+                };
+                (lane.floor < need).then_some((RingIdx::new(q as u16), need))
+            })
+            .collect()
+    }
+
     /// Enqueues one ordered item from `ring`, stamped from the token
     /// round it was ordered in, and returns any entries the merged
     /// stream releases as a result.
@@ -217,8 +260,25 @@ impl<T> Merger<T> {
     /// epoch-carrying tick *on the lagging ring*, so every observer of
     /// that ring's stream aligns at the same point of it.
     pub fn advance_to(&mut self, ring: RingIdx, epoch: u64, round: Round) -> Vec<MergedEntry<T>> {
+        self.advance_hinted(ring, epoch, 0, round)
+    }
+
+    /// Like [`advance_to`](Merger::advance_to), but the tick also carries
+    /// a merge-slot hint: after the epoch alignment the ring's λ-clock is
+    /// raised so the tick's own round stamps at least `slot`. Both hints
+    /// ride in the ring's stream, so every observer lifts the clock at
+    /// the same point and the merged order stays a pure function of the
+    /// per-ring streams.
+    pub fn advance_hinted(
+        &mut self,
+        ring: RingIdx,
+        epoch: u64,
+        slot: u64,
+        round: Round,
+    ) -> Vec<MergedEntry<T>> {
         let lane = self.lane(ring);
         lane.clock.align(epoch_base(epoch));
+        lane.clock.raise(slot, round);
         let slot = lane.clock.stamp(round);
         lane.floor = lane.floor.max(slot);
         self.drain()
@@ -505,6 +565,61 @@ mod tests {
         // …but an epoch-carrying tick aligns ring 1 past that base.
         let got = m.advance_to(R1, 8, Round::new(51));
         assert_eq!(labels(&got), vec!["blocked"]);
+    }
+
+    #[test]
+    fn lagging_rings_trail_the_highest_watermark() {
+        let mut m: Merger<&str> = Merger::new(3, 1);
+        assert!(m.lagging_rings().is_empty(), "fresh rings are level");
+        // Ring 1 runs ahead with nothing queued (no local subscriber):
+        // rings 0 and 2 trail its watermark.
+        m.advance(R1, Round::new(9));
+        assert_eq!(m.lagging_rings(), vec![(R0, 9), (R2, 9)]);
+        // Retired rings never lag, and never set the pace.
+        m.retire(R2);
+        assert_eq!(m.lagging_rings(), vec![(R0, 9)]);
+        m.advance(R0, Round::new(9));
+        assert!(m.lagging_rings().is_empty(), "level again: no hint needed");
+    }
+
+    #[test]
+    fn a_tie_at_the_head_asks_the_lower_ring_to_pass_the_slot() {
+        let mut m: Merger<&str> = Merger::new(2, 1);
+        assert!(m.push(R1, Round::new(4), "b").is_empty());
+        m.advance(R0, Round::new(4));
+        // Level watermarks, but ring 0 may still order at slot 4 ahead
+        // of "b": it must pass slot 4.
+        assert_eq!(m.lagging_rings(), vec![(R0, 5)]);
+        let got = m.advance_hinted(R0, 0, 5, Round::new(4));
+        assert_eq!(labels(&got), vec!["b"]);
+        // Ring 1 now trails ring 0's watermark by one; one more hint
+        // levels them and the rule settles.
+        assert_eq!(m.lagging_rings(), vec![(R1, 5)]);
+        m.advance_hinted(R1, 0, 5, Round::new(4));
+        assert!(m.lagging_rings().is_empty());
+    }
+
+    #[test]
+    fn a_slot_hint_releases_a_busy_rings_backlog() {
+        let mut m: Merger<&str> = Merger::new(2, 1);
+        // Ring 0 is busy and far ahead in rounds; ring 1 is idle and its
+        // held token has turned only 3 rounds.
+        assert!(m.advance(R1, Round::new(3)).is_empty());
+        let mut got = Vec::new();
+        for (round, label) in [(100u64, "a"), (200, "b"), (300, "c")] {
+            got.extend(m.push(R0, Round::new(round), label));
+        }
+        assert!(got.is_empty(), "ring 1's own rounds gate ring 0");
+        // A plain tick in ring 1's next round does not help…
+        assert!(m.advance(R1, Round::new(4)).is_empty());
+        // …a tick hinting ring 0's highest slot releases everything.
+        assert_eq!(m.lagging_rings(), vec![(R1, 300)]);
+        let got = m.advance_hinted(R1, 0, 300, Round::new(5));
+        assert_eq!(labels(&got), vec!["a", "b", "c"]);
+        assert_eq!(m.floor(R1), 300);
+        // Ring 1's later rounds continue above the hint.
+        assert!(m.push(R1, Round::new(6), "d").is_empty());
+        assert_eq!(m.floor(R1), 301);
     }
 
     #[test]

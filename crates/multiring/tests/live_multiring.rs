@@ -277,3 +277,39 @@ fn partition_on_one_ring_only_stalls_that_ring_then_recovers() {
         d.shutdown();
     }
 }
+
+#[test]
+fn idle_ring_ticks_survive_the_loss_of_daemon_zero() {
+    let mut daemons = spawn_daemons(&[]);
+    // Let both rings form with all three daemons first: the merged view
+    // of the observer's join proves it.
+    let obs = daemons[1].connect("obs").expect("connect");
+    obs.join("left").expect("join left");
+    await_view(&obs, "left");
+
+    // Daemon 0 led both rings' ticks. Shut it down; once the rings
+    // reform without it, daemon 1 is the lowest pid of both
+    // configurations and must take the ticks over.
+    daemons.remove(0).shutdown();
+    // Send only after the reformation has settled (token loss plus a
+    // gather round take about 2 s with wall-clock timeouts), so nothing
+    // the reformation itself orders on ring 1 can move its watermark.
+    std::thread::sleep(Duration::from_secs(4));
+    let sender = daemons[1].connect("sender").expect("connect");
+
+    // Only ring 0 carries traffic: each message is released only once
+    // idle ring 1 is ticked past it.
+    const SENDS: usize = 8;
+    for i in 0..SENDS {
+        sender
+            .multicast(&["left"], Bytes::from(format!("s{i}")), Service::Agreed)
+            .expect("send");
+    }
+    let got = collect_messages(&obs, SENDS, Duration::from_secs(20));
+    let want: Vec<Bytes> = (0..SENDS).map(|i| Bytes::from(format!("s{i}"))).collect();
+    assert_eq!(got, want, "idle ring stalled the merge without daemon 0");
+
+    for d in daemons {
+        d.shutdown();
+    }
+}

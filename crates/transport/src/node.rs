@@ -11,6 +11,11 @@
 //! application as a terminal [`AppEvent::Fault`]; a graceful
 //! [`NodeHandle::leave`] drains pending traffic and announces the departure
 //! so survivors reform without waiting out the token-loss timeout.
+//!
+//! An idle ring costs next to nothing: the ring leader holds a token that
+//! has come back around unchanged for up to `IDLE_HOLD` instead of
+//! passing it straight on, and a parked loop wakes on its sockets, its
+//! doorbells or its next deadline, never on a polling quantum.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -22,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use accelring_core::{
     wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, PoolStats, ProtocolConfig,
-    Service, ShedCause, ShmPathStats,
+    RingId, Seq, Service, ShedCause, ShmPathStats, Token,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -32,6 +37,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 
 use crate::addr::{AddressBook, NodeAddr};
+use crate::doorbell::Doorbell;
 use crate::fault::{FaultPlane, InterposedSocket, SocketClass};
 use crate::poller::Poller;
 use crate::shm::{ShmCounters, ShmSocket};
@@ -40,8 +46,21 @@ use crate::Transport;
 
 /// Largest datagram the transport accepts (64 KiB UDP limit).
 const MAX_DATAGRAM: usize = 65_536;
-/// How long the loop sleeps when completely idle.
+/// How long an idle loop dozes when it cannot park until its next event:
+/// on the [`Datapath::PerDatagram`] baseline, under a fault plane (the
+/// interposer releases delayed datagrams only when the loop touches the
+/// socket), or when a socket or the doorbell has no descriptor to park
+/// on. Every other idle wait parks until a datagram, a doorbell, a
+/// protocol timer or the idle-hold deadline.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// How long the ring leader holds a token that came back around idle
+/// before passing it on (see [`token_is_idle`]). Clamped per node to an
+/// eighth of the token-retransmit timeout, so no configuration ever sees
+/// a held token as lost.
+const IDLE_HOLD: Duration = Duration::from_micros(500);
+/// Upper bound of an event-driven park. Membership always has a timer
+/// armed, so this only caps a park if it somehow had none.
+const PARK_CAP: Duration = Duration::from_secs(1);
 /// Capacity of the client command channel. A full channel surfaces as
 /// [`SubmitError::Backlogged`] instead of unbounded memory growth when the
 /// ring cannot keep up with local submitters.
@@ -580,6 +599,14 @@ impl BoundNode {
         };
         let (cmd_tx, cmd_rx) = bounded(COMMAND_QUEUE_CAPACITY);
         let (event_tx, event_rx) = unbounded();
+        let wake = Arc::new(Wakeup {
+            control: Doorbell::new()?,
+            submit: Doorbell::new()?,
+        });
+        let hold = IDLE_HOLD.min(Duration::from_nanos(
+            membership.token_retransmit_timeout / 8,
+        ));
+        let interposed = options.plane.is_some();
         let stop = Arc::new(AtomicBool::new(false));
         let leave = Arc::new(AtomicBool::new(false));
         let drain_ns = Arc::new(AtomicU64::new(0));
@@ -588,6 +615,7 @@ impl BoundNode {
         let recv_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let send_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let datapath = options.datapath;
+        let loop_wake = Arc::clone(&wake);
         let thread_ctx = (
             Arc::clone(&stop),
             Arc::clone(&leave),
@@ -606,8 +634,15 @@ impl BoundNode {
                 let mut daemon = MembershipDaemon::new(pid, protocol, membership);
                 daemon.restore_ring_counter(options.restore_ring_counter);
                 let mut poller = Poller::new();
+                let mut park_on_events = false;
                 if let (Some(data), Some(token)) = (data_socket.poll_fd(), token_socket.poll_fd()) {
-                    poller.set_fds(&[data, token]);
+                    match (loop_wake.control.fd(), loop_wake.submit.fd()) {
+                        (Some(control), Some(submit)) => {
+                            poller.set_fds(&[data, token, control, submit]);
+                            park_on_events = datapath == Datapath::Batched && !interposed;
+                        }
+                        _ => poller.set_fds(&[data, token]),
+                    }
                 }
                 let mut event_loop = EventLoop {
                     pid,
@@ -619,6 +654,11 @@ impl BoundNode {
                     cmd_rx,
                     pending_submit: None,
                     event_tx,
+                    wake: loop_wake,
+                    hold,
+                    held: None,
+                    last_forwarded: None,
+                    park_on_events,
                     stop,
                     leave,
                     drain_ns,
@@ -656,6 +696,7 @@ impl BoundNode {
             pid,
             cmd_tx,
             event_rx,
+            wake,
             stop,
             leave,
             drain_ns,
@@ -798,12 +839,14 @@ impl TransportProbe {
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
     stop: Arc<AtomicBool>,
+    wake: Arc<Wakeup>,
 }
 
 impl KillSwitch {
     /// Asks the event loop to exit at its next iteration.
     pub fn kill(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake.control.notify();
     }
 
     /// Whether the kill was already requested.
@@ -812,12 +855,26 @@ impl KillSwitch {
     }
 }
 
+/// A node's two doorbells, shared by the event loop and its handles.
+///
+/// `control` is armed on every park and rung by stop, leave, kill and
+/// injected commands. `submit` is armed only while the loop parks holding
+/// an idle token: that is the one time a submission changes what the loop
+/// does before its next datagram, since everywhere else the message waits
+/// for the token anyway. So on a busy ring a submit pays no syscall.
+#[derive(Debug)]
+struct Wakeup {
+    control: Doorbell,
+    submit: Doorbell,
+}
+
 /// Handle to a running daemon thread.
 #[derive(Debug)]
 pub struct NodeHandle {
     pid: ParticipantId,
     cmd_tx: Sender<Command>,
     event_rx: Receiver<AppEvent>,
+    wake: Arc<Wakeup>,
     stop: Arc<AtomicBool>,
     leave: Arc<AtomicBool>,
     drain_ns: Arc<AtomicU64>,
@@ -845,7 +902,10 @@ impl NodeHandle {
         }
     }
 
-    /// Submits a message for totally ordered multicast.
+    /// Submits a message for totally ordered multicast. A ring leader
+    /// parked on an idle token is woken and passes the token on with the
+    /// message aboard; any other node picks the message up when the token
+    /// next reaches it.
     ///
     /// # Errors
     ///
@@ -854,7 +914,10 @@ impl NodeHandle {
     /// [`SubmitError::Stopped`] if the daemon thread has exited.
     pub fn submit(&self, payload: Bytes, service: Service) -> Result<(), SubmitError> {
         match self.cmd_tx.try_send(Command::Submit(payload, service)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.wake.submit.notify();
+                Ok(())
+            }
             Err(TrySendError::Full(_)) => Err(SubmitError::Backlogged),
             Err(TrySendError::Disconnected(_)) => Err(SubmitError::Stopped),
         }
@@ -904,6 +967,7 @@ impl NodeHandle {
     pub fn killswitch(&self) -> KillSwitch {
         KillSwitch {
             stop: Arc::clone(&self.stop),
+            wake: Arc::clone(&self.wake),
         }
     }
 
@@ -917,11 +981,13 @@ impl NodeHandle {
     #[doc(hidden)]
     pub fn inject_panic(&self) {
         let _ = self.cmd_tx.send(Command::InjectPanic);
+        self.wake.control.notify();
     }
 
     /// Asks the event loop to stop and waits for the thread to exit.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake.control.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -939,6 +1005,7 @@ impl NodeHandle {
         self.drain_ns
             .store(drain.as_nanos() as u64, Ordering::Relaxed);
         self.leave.store(true, Ordering::Relaxed);
+        self.wake.control.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -949,6 +1016,7 @@ impl NodeHandle {
 impl Drop for NodeHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake.control.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -970,6 +1038,20 @@ struct EventLoop {
     /// backpressure instead of a silent shed.
     pending_submit: Option<(Bytes, Service)>,
     event_tx: Sender<AppEvent>,
+    wake: Arc<Wakeup>,
+    /// How long this node, as ring leader, holds an idle token.
+    hold: Duration,
+    /// The idle token the leader is holding, with its release deadline
+    /// (ns on the loop clock). Batched datapath only.
+    held: Option<(Token, u64)>,
+    /// `(ring, seq, aru)` of the last token this node passed on: a token
+    /// that comes back with the same values went a whole rotation
+    /// without anyone ordering anything.
+    last_forwarded: Option<(RingId, Seq, Seq)>,
+    /// Whether an idle wait may park until the next event. False on the
+    /// legacy datapath, under a fault plane, and without descriptors;
+    /// those waits doze in [`IDLE_SLEEP`] quanta.
+    park_on_events: bool,
     stop: Arc<AtomicBool>,
     leave: Arc<AtomicBool>,
     drain_ns: Arc<AtomicU64>,
@@ -987,9 +1069,48 @@ struct EventLoop {
     token_batch: Vec<(Bytes, SocketAddr)>,
     /// Legacy per-datagram receive buffer (empty on the batched path).
     scratch: Vec<u8>,
-    /// Parks the loop on both socket descriptors when idle (empty — and
-    /// therefore a plain sleep — when either socket cannot expose one).
+    /// Parks the loop on both socket descriptors and both doorbells when
+    /// idle (empty — and therefore a plain sleep — when either socket
+    /// cannot expose one).
     poller: Poller,
+}
+
+/// What the idle-hold rule reads from a node besides the token.
+#[derive(Debug, Clone, Copy)]
+struct IdleView {
+    /// The node's position in its installed ring.
+    position: Option<usize>,
+    /// Whether membership is Operational.
+    operational: bool,
+    /// Messages in the participant's send queue.
+    send_queue: usize,
+    /// A refused submission, a waiting command, or a leave or stop in
+    /// progress.
+    commands_waiting: bool,
+    /// Messages held in the receive buffer (not yet discarded).
+    buffered: usize,
+    /// See [`EventLoop::last_forwarded`].
+    last_forwarded: Option<(RingId, Seq, Seq)>,
+}
+
+/// Whether the ring leader may hold `token` instead of processing it at
+/// once. Only position 0 holds: it is the member that starts each
+/// rotation, so a hold there idles every member, and one holder keeps
+/// the rule free of coordination. The token must show a quiet ring —
+/// nothing sent last rotation (`fcc`), nothing missing (`rtr`),
+/// everything received everywhere (`aru == seq`), and no change since
+/// this node last passed it on — and the node must have nothing of its
+/// own to order or deliver.
+fn token_is_idle(token: &Token, view: &IdleView) -> bool {
+    view.position == Some(0)
+        && view.operational
+        && view.send_queue == 0
+        && !view.commands_waiting
+        && view.buffered == 0
+        && token.fcc == 0
+        && token.rtr.is_empty()
+        && token.aru == token.seq
+        && view.last_forwarded == Some((token.ring_id, token.seq, token.aru))
 }
 
 impl EventLoop {
@@ -1004,6 +1125,7 @@ impl EventLoop {
         self.flush(&mut outputs);
         loop {
             if self.stop.load(Ordering::Relaxed) {
+                self.release_held(&mut outputs);
                 self.publish_ring_info();
                 return;
             }
@@ -1014,26 +1136,31 @@ impl EventLoop {
             let did_work = self.step(&mut outputs, true);
             self.publish_ring_info();
             if !did_work {
-                self.idle_wait();
+                self.idle_wait(true);
             }
         }
     }
 
-    /// Idle wait: parks until a datagram lands on either socket, the next
-    /// protocol timer is due, or [`IDLE_SLEEP`] passes, whichever is
+    /// Idle wait: parks until a datagram lands on either socket, a
+    /// doorbell rings (see [`Wakeup`]), the next protocol timer is due,
+    /// or the held token's deadline passes, whichever is
     /// first. On a busy ring the token is in flight precisely when the
     /// loop has drained its sockets, so a fixed-quantum doze here would
     /// quantize the entire rotation to the sleep granularity; parking on
-    /// the descriptors wakes the loop the moment the token lands.
+    /// the descriptors wakes the loop the moment the token lands. Where
+    /// the park cannot see every event (see [`IDLE_SLEEP`]) it is also
+    /// capped at that quantum.
     ///
     /// The legacy baseline keeps the original fixed-quantum doze.
     ///
-    /// Both sockets get a [`DatagramSocket::prepare_wait`] call right
-    /// before the park (non-short-circuiting, so both always arm): a
-    /// userspace transport uses it to arm its doorbell and re-check for
-    /// datagrams that raced the idle decision; kernel sockets return
-    /// false and rely on `ppoll` level-triggering.
-    fn idle_wait(&self) {
+    /// The doorbells are armed before the last look at the work sources,
+    /// and both sockets get a [`DatagramSocket::prepare_wait`] call
+    /// (non-short-circuiting, so both always arm): a userspace transport
+    /// uses it to arm its own doorbell and re-check for datagrams that
+    /// raced the idle decision; kernel sockets return false and rely on
+    /// `ppoll` level-triggering. `commands` says whether waiting commands
+    /// count as work (not while draining for a leave).
+    fn idle_wait(&self, commands: bool) {
         if self.datapath == Datapath::PerDatagram {
             if self.data_socket.prepare_wait() | self.token_socket.prepare_wait() {
                 return;
@@ -1041,14 +1168,74 @@ impl EventLoop {
             std::thread::sleep(IDLE_SLEEP);
             return;
         }
-        let mut timeout = IDLE_SLEEP;
-        if let Some((deadline, _)) = self.daemon.next_timer() {
-            timeout = timeout.min(Duration::from_nanos(deadline.saturating_sub(self.now_ns())));
+        let now = self.now_ns();
+        let mut timeout = if self.park_on_events {
+            PARK_CAP
+        } else {
+            IDLE_SLEEP
+        };
+        let deadlines = self.daemon.next_timer().map(|(d, _)| d);
+        for deadline in deadlines.into_iter().chain(self.held.as_ref().map(|h| h.1)) {
+            timeout = timeout.min(Duration::from_nanos(deadline.saturating_sub(now)));
         }
-        if self.data_socket.prepare_wait() | self.token_socket.prepare_wait() {
-            return;
+        let holding = self.held.is_some();
+        self.wake.control.arm();
+        if holding {
+            self.wake.submit.arm();
         }
-        self.poller.wait(timeout);
+        let ready = self.data_socket.prepare_wait() | self.token_socket.prepare_wait()
+            || (commands && !self.cmd_rx.is_empty())
+            || self.stop.load(Ordering::Relaxed)
+            || self.leave.load(Ordering::Relaxed);
+        if !ready {
+            self.poller.wait(timeout);
+        }
+        if !self.wake.control.disarm() {
+            self.wake.control.drain();
+        }
+        if holding && !self.wake.submit.disarm() {
+            self.wake.submit.drain();
+        }
+    }
+
+    fn idle_view(&self) -> IdleView {
+        let participant = self.daemon.participant();
+        IdleView {
+            position: participant.ring().index_of(self.pid),
+            operational: self.daemon.state() == StateKind::Operational,
+            send_queue: participant.send_queue_len(),
+            commands_waiting: self.pending_submit.is_some()
+                || !self.cmd_rx.is_empty()
+                || self.stop.load(Ordering::Relaxed)
+                || self.leave.load(Ordering::Relaxed),
+            buffered: participant.buffered(),
+            last_forwarded: self.last_forwarded,
+        }
+    }
+
+    /// Hands the held token (if any) to the protocol, which processes
+    /// and forwards it.
+    fn release_held(&mut self, outputs: &mut Vec<Output>) -> bool {
+        let Some((token, _)) = self.held.take() else {
+            return false;
+        };
+        let now = self.now_ns();
+        self.daemon.handle(now, Input::Token(token), outputs);
+        self.flush(outputs);
+        true
+    }
+
+    /// Releases the held token once its deadline passes or the ring
+    /// stops being idle (a submit arrived, leave or stop began, or
+    /// membership left Operational).
+    fn service_hold(&mut self, outputs: &mut Vec<Output>) -> bool {
+        let due = match &self.held {
+            Some((token, deadline)) => {
+                *deadline <= self.now_ns() || !token_is_idle(token, &self.idle_view())
+            }
+            None => false,
+        };
+        due && self.release_held(outputs)
     }
 
     /// One iteration: client commands (when accepted), one receive batch
@@ -1115,7 +1302,13 @@ impl EventLoop {
             }
         }
 
-        // 2. Sockets, in protocol priority order (Section III-D): when the
+        // 2. The held idle token, after the commands so a submit that
+        //    ends the hold rides the very token it releases.
+        if self.service_hold(outputs) {
+            did_work = true;
+        }
+
+        // 3. Sockets, in protocol priority order (Section III-D): when the
         //    token has priority, drain the token socket first. One bounded
         //    batch per iteration, so priority is re-evaluated between
         //    batches rather than starving the token behind a data flood.
@@ -1135,7 +1328,7 @@ impl EventLoop {
             }
         }
 
-        // 3. Timers.
+        // 4. Timers.
         while let Some((deadline, kind)) = self.daemon.next_timer() {
             if deadline > self.now_ns() {
                 break;
@@ -1203,6 +1396,20 @@ impl EventLoop {
             // the protocol discards the message.
             let mut datagram = lease.freeze_prefix(len);
             if let Some(input) = parse_datagram(&mut datagram) {
+                let input = match input {
+                    Input::Token(token) => {
+                        // At most one token is ever held; a second one (a
+                        // retransmission) releases the first ahead of it.
+                        self.release_held(outputs);
+                        if self.hold > Duration::ZERO && token_is_idle(&token, &self.idle_view()) {
+                            let deadline = self.now_ns() + self.hold.as_nanos() as u64;
+                            self.held = Some((token, deadline));
+                            continue;
+                        }
+                        Input::Token(token)
+                    }
+                    other => other,
+                };
                 let now = self.now_ns();
                 self.daemon.handle(now, input, outputs);
             } else {
@@ -1259,6 +1466,7 @@ impl EventLoop {
     /// announce the departure (twice — it rides UDP) so peers fail us by
     /// reciprocity and reform after one gather round.
     fn drain_and_leave(&mut self, outputs: &mut Vec<Output>) {
+        self.release_held(outputs);
         // Submissions already queued when the leave flag was set were
         // accepted from the caller's point of view, so they drain out;
         // only commands arriving after this point are refused.
@@ -1290,7 +1498,7 @@ impl EventLoop {
                 break;
             }
             if !self.step(outputs, false) {
-                self.idle_wait();
+                self.idle_wait(false);
             }
         }
         self.daemon.announce_leave(outputs);
@@ -1364,6 +1572,7 @@ impl EventLoop {
                     let mut lease = self.send_pool.acquire();
                     lease.clear();
                     wire::encode_token_into(&token, &mut lease);
+                    self.last_forwarded = Some((token.ring_id, token.seq, token.aru));
                     if let Some(peer) = self.book.get(to) {
                         token_batch.push((lease.freeze(), peer.token));
                     }
@@ -1483,5 +1692,87 @@ fn parse_datagram(datagram: &mut Bytes) -> Option<Input> {
         wire::Kind::Data => Some(Input::Data(wire::decode_data_body(datagram).ok()?)),
         wire::Kind::Token => Some(Input::Token(wire::decode_token_body(datagram).ok()?)),
         wire::Kind::Opaque => Some(Input::Control(decode_control(datagram).ok()?)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ring() -> RingId {
+        RingId::new(ParticipantId::new(0), 4)
+    }
+
+    /// An idle leader and the token it last passed on, come back around.
+    fn idle() -> (Token, IdleView) {
+        let mut token = Token::initial(ring());
+        token.seq = Seq::new(7);
+        token.aru = Seq::new(7);
+        let view = IdleView {
+            position: Some(0),
+            operational: true,
+            send_queue: 0,
+            commands_waiting: false,
+            buffered: 0,
+            last_forwarded: Some((ring(), Seq::new(7), Seq::new(7))),
+        };
+        (token, view)
+    }
+
+    #[test]
+    fn a_quiet_rotation_at_the_leader_is_idle() {
+        let (token, view) = idle();
+        assert!(token_is_idle(&token, &view));
+    }
+
+    #[test]
+    fn any_sign_of_work_ends_idleness() {
+        let (token, view) = idle();
+        let mut t = token.clone();
+        t.rtr = vec![Seq::new(5)];
+        assert!(!token_is_idle(&t, &view), "non-empty rtr");
+        let mut t = token.clone();
+        t.fcc = 1;
+        assert!(!token_is_idle(&t, &view), "fcc > 0");
+        let mut t = token.clone();
+        t.aru = Seq::new(6);
+        assert!(!token_is_idle(&t, &view), "aru < seq");
+        let mut t = token.clone();
+        t.seq = Seq::new(8);
+        t.aru = Seq::new(8);
+        assert!(
+            !token_is_idle(&t, &view),
+            "seq moved since this node passed the token on"
+        );
+        let queued = IdleView {
+            send_queue: 1,
+            ..view
+        };
+        assert!(!token_is_idle(&token, &queued), "a queued submit");
+        let waiting = IdleView {
+            commands_waiting: true,
+            ..view
+        };
+        assert!(!token_is_idle(&token, &waiting), "a waiting command");
+        let not_leader = IdleView {
+            position: Some(1),
+            ..view
+        };
+        assert!(!token_is_idle(&token, &not_leader), "not at position 0");
+        let buffered = IdleView {
+            buffered: 1,
+            ..view
+        };
+        assert!(!token_is_idle(&token, &buffered), "undiscarded messages");
+        let gathering = IdleView {
+            operational: false,
+            ..view
+        };
+        assert!(!token_is_idle(&token, &gathering), "not Operational");
+        let fresh = IdleView {
+            last_forwarded: None,
+            ..view
+        };
+        assert!(!token_is_idle(&token, &fresh), "never passed a token on");
     }
 }
