@@ -1,10 +1,12 @@
-//! Hot-datapath microbenchmark: three packet paths on a real localhost
+//! Hot-datapath microbenchmark: two packet paths on a real localhost
 //! ring under saturating senders —
 //!
-//! - `per_datagram`: legacy one-syscall-per-datagram UDP,
 //! - `batched`: `recvmmsg`/`sendmmsg`, pooled, encode-once UDP,
 //! - `shm`: the shared-memory SPSC ring backend (zero syscalls on the
-//!   datagram path; the doorbell eventfd only fires on sleep edges).
+//!   datagram path; the doorbell eventfd only fires on sleep edges),
+//!
+//! plus raw link floods (one syscall per datagram, batched UDP, shm) that
+//! measure each backend with no protocol on top.
 //!
 //! ```text
 //! cargo run --release --bin packet_path
@@ -27,8 +29,8 @@ use accelring_bench::Quality;
 use accelring_core::{ParticipantId, ProtocolConfig, Service, ShmPathStats};
 use accelring_membership::{MembershipConfig, StateKind};
 use accelring_transport::{
-    bind_with_retry_on, AddressBook, AppEvent, BoundNode, Datapath, NodeAddr, NodeHandle,
-    NodeOptions, SubmitError, Transport, TransportError,
+    bind_with_retry_on, AddressBook, AppEvent, BoundNode, NodeAddr, NodeHandle, NodeOptions,
+    SubmitError, Transport, TransportError,
 };
 use bytes::Bytes;
 
@@ -303,12 +305,10 @@ fn run_link(label: &'static str, mode: LinkMode, secs: f64) -> Result<LinkResult
     })
 }
 
-/// Spawns a fully meshed localhost ring running the given datapath over
-/// the given transport.
+/// Spawns a fully meshed localhost ring over the given transport.
 fn spawn_ring(
     n: u16,
     window: u32,
-    datapath: Datapath,
     transport: Transport,
 ) -> Result<Vec<NodeHandle>, TransportError> {
     let bound: Vec<BoundNode> = (0..n)
@@ -326,10 +326,7 @@ fn spawn_ring(
                 book.clone(),
                 ProtocolConfig::accelerated(window, window),
                 MembershipConfig::for_wall_clock(),
-                NodeOptions {
-                    datapath,
-                    ..NodeOptions::default()
-                },
+                NodeOptions::default(),
             )
         })
         .collect()
@@ -352,14 +349,9 @@ fn await_operational(handles: &[NodeHandle]) -> Result<(), String> {
 /// Runs one path: forms a ring, saturates it from every node for `secs`
 /// of wall clock while draining deliveries, and returns the hot-path
 /// counter deltas over the measurement window.
-fn run_path(
-    label: &'static str,
-    args: &Args,
-    datapath: Datapath,
-    transport: Transport,
-) -> Result<PathResult, String> {
-    let handles = spawn_ring(args.nodes, args.window, datapath, transport)
-        .map_err(|e| format!("spawn: {e}"))?;
+fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<PathResult, String> {
+    let handles =
+        spawn_ring(args.nodes, args.window, transport).map_err(|e| format!("spawn: {e}"))?;
     await_operational(&handles)?;
     let probes: Vec<_> = handles.iter().map(NodeHandle::probe).collect();
 
@@ -526,15 +518,7 @@ fn main() -> ExitCode {
         args.nodes, args.window, PAYLOAD_LEN, args.secs
     );
 
-    let old = match run_path("per_datagram", &args, Datapath::PerDatagram, Transport::Udp) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("packet_path: per-datagram path: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_row(&old);
-    let new = match run_path("batched", &args, Datapath::Batched, Transport::Udp) {
+    let new = match run_path("batched", &args, Transport::Udp) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("packet_path: batched path: {e}");
@@ -542,7 +526,7 @@ fn main() -> ExitCode {
         }
     };
     print_row(&new);
-    let shm = match run_path("shm", &args, Datapath::Batched, Transport::Shm) {
+    let shm = match run_path("shm", &args, Transport::Shm) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("packet_path: shm path: {e}");
@@ -583,11 +567,6 @@ fn main() -> ExitCode {
         );
     }
 
-    let speedup = if old.datagrams_per_sec() > 0.0 {
-        new.datagrams_per_sec() / old.datagrams_per_sec()
-    } else {
-        0.0
-    };
     let shm_speedup = if new.datagrams_per_sec() > 0.0 {
         shm.datagrams_per_sec() / new.datagrams_per_sec()
     } else {
@@ -598,11 +577,6 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    println!(
-        "speedup: {speedup:.2}x datagrams/sec ({:.4} -> {:.4} syscalls/datagram)",
-        old.syscalls_per_datagram(),
-        new.syscalls_per_datagram(),
-    );
     println!(
         "shm speedup: {shm_speedup:.2}x datagrams/sec over batched udp \
          ({:.4} -> {:.4} syscalls/datagram, {:.0} datagrams/doorbell wakeup, \
@@ -622,23 +596,20 @@ fn main() -> ExitCode {
     let json = format!(
         "{{\n  \"bench\": \"packet_path\",\n  \"nodes\": {},\n  \"window\": {},\n  \
          \"payload_len\": {},\n  \
-         \"measure_secs\": {:.1},\n  \"per_datagram\": {},\n  \"batched\": {},\n  \
+         \"measure_secs\": {:.1},\n  \"batched\": {},\n  \
          \"shm\": {},\n  \
          \"link_per_datagram\": {},\n  \"link_batched\": {},\n  \"link_shm\": {},\n  \
-         \"speedup_datagrams_per_sec\": {:.3},\n  \
          \"speedup_shm_vs_batched\": {:.3},\n  \
          \"link_speedup_shm_vs_batched\": {:.3}\n}}\n",
         args.nodes,
         args.window,
         PAYLOAD_LEN,
         args.secs,
-        old.json(),
         new.json(),
         shm.json(),
         link_old.json(),
         link_new.json(),
         link_shm.json(),
-        speedup,
         shm_speedup,
         link_shm_speedup,
     );
@@ -650,7 +621,7 @@ fn main() -> ExitCode {
     // CI smoke gate: a decode error means the zero-copy parse corrupted
     // the wire; a leaked lease means a pooled buffer never came home.
     let mut failed = false;
-    for r in [&old, &new, &shm] {
+    for r in [&new, &shm] {
         if r.decode_failures > 0 {
             eprintln!(
                 "packet_path: {} path saw {} wire decode errors",

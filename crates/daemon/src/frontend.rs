@@ -1,11 +1,12 @@
 //! The reactor session frontend: one thread, one socket, up to 100k
 //! client sessions.
 //!
-//! The seed served clients through per-client crossbeam channel pairs
-//! pumped by a blocking `Select` loop — fine for a handful of in-process
-//! clients, a dead end for the daemon-as-fan-in architecture the paper
-//! inherits from Spread, where one daemon fronts every application sender
-//! on its machine. This module replaces that shape with a reactor:
+//! The seed served clients through per-client crossbeam channel pairs,
+//! one blocking channel select per daemon — fine for a handful of
+//! in-process clients, a dead end for the daemon-as-fan-in architecture
+//! the paper inherits from Spread, where one daemon fronts every
+//! application sender on its machine. This module replaces that shape
+//! with a reactor:
 //!
 //! * **One session socket.** Remote clients speak the framed session
 //!   protocol of [`crate::proto`] ([`SessionFrame`]) over UDP. Frames
@@ -77,7 +78,8 @@ const CREDIT_REFRESH: u32 = 64;
 pub struct FrontendOptions {
     /// Open a UDP session socket and serve remote sessions. Off by
     /// default: adapter-only daemons skip the socket entirely and the
-    /// pump keeps its zero-latency channel select.
+    /// daemon reactor ([`crate::runtime`]) waits in a blocking channel
+    /// select instead of ticking.
     pub session_socket: bool,
     /// Per-session EVENT queue cap; beyond it events are shed with
     /// [`accelring_core::ShedCause::SlowSession`].
@@ -220,9 +222,9 @@ struct Session {
 /// The slab-indexed session table plus the session socket: everything the
 /// reactor needs to serve many sessions from one thread.
 ///
-/// Embedded by both the group daemon's pump ([`crate::runtime`]) and the
-/// multi-ring pump, so adapter clients, remote sessions, and the shed
-/// machinery behave identically everywhere.
+/// Owned by the one daemon reactor ([`crate::runtime`]) that serves both
+/// the group daemon and the multi-ring daemon, so adapter clients, remote
+/// sessions, and the shed machinery behave identically everywhere.
 pub struct SessionMux {
     opts: FrontendOptions,
     socket: Option<UdpSocket>,
@@ -318,7 +320,7 @@ impl SessionMux {
         self.socket.as_ref().and_then(|s| s.poll_fd())
     }
 
-    /// Counts one reactor wakeup (the pump calls this per loop turn).
+    /// Counts one reactor wakeup (the reactor calls this per loop turn).
     pub fn note_wakeup(&mut self) {
         self.stats.wakeups += 1;
     }
@@ -844,7 +846,7 @@ impl SessionMux {
         self.send_scratch = batch;
     }
 
-    /// Whether any session still has queued egress (the pump should not
+    /// Whether any session still has queued egress (the reactor should not
     /// park long while this is true).
     pub fn has_pending_egress(&self) -> bool {
         !self.rr.is_empty()

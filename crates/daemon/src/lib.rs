@@ -19,7 +19,9 @@
 //!   at every surviving daemon.
 //!
 //! The pure [`engine::GroupEngine`] is runtime-agnostic; the
-//! [`runtime::GroupDaemon`] binds it to the real UDP transport.
+//! [`runtime::GroupDaemon`] binds it to the real transport through the
+//! one daemon reactor ([`runtime::Reactor`]) that the multi-ring daemon
+//! shares by implementing [`runtime::DaemonEngine`] for its merge engine.
 //!
 //! ## Example
 //!

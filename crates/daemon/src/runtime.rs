@@ -1,31 +1,46 @@
-//! The runnable group daemon: a [`GroupEngine`] pumped by a reactor
-//! thread over a real UDP transport node, serving in-process clients
-//! through channels and remote clients through the session frontend
-//! ([`crate::frontend`]).
+//! The daemon runtime: one reactor thread that serves clients over one
+//! or more rings. [`GroupDaemon`] runs it over a single [`GroupEngine`];
+//! the multi-ring daemon (`accelring_multiring::MultiRingDaemon`) runs
+//! the same reactor over R rings and a cross-ring merge. Everything the
+//! two have in common lives here, once: the command channel and the
+//! client call round trip, the session frontend ([`crate::frontend`]),
+//! ring-event draining, backlog-aware submission, stats export,
+//! supervision and shutdown. What differs sits behind [`DaemonEngine`].
 //!
-//! One thread does everything: it parks on the session socket with
-//! `ppoll` (via [`Poller`]), so a remote SUBMIT wakes it the instant the
-//! datagram lands; in-process command channels and ring events are
-//! drained on every wakeup with a short tick bounding their latency. All
-//! client sessions — channel adapters and remote sessions alike — live in
-//! one slab-indexed [`SessionMux`], sharing fair egress, credit gating,
-//! and per-cause shed accounting.
+//! One thread does everything: with the session socket open it parks on
+//! that socket with `ppoll` (via [`Poller`]), so a remote SUBMIT wakes it
+//! the instant the datagram lands; in-process command channels and ring
+//! events are drained on every wakeup, with a short tick bounding their
+//! latency. Without a session socket it blocks in a channel select on the
+//! commands and every ring's events. All client sessions — channel
+//! adapters and remote sessions alike — live in one slab-indexed
+//! [`SessionMux`], sharing fair egress, credit gating, and per-cause
+//! shed accounting.
 //!
-//! The pump supervises its transport node: when the node thread dies
+//! Submissions a ring's bounded queue refuses
+//! ([`SubmitError::Backlogged`]) are queued and replayed in FIFO order
+//! under jittered backoff, never dropped: a large message's fragments
+//! must all reach the ring, in order.
+//!
+//! The reactor supervises its transport nodes: when any node thread dies
 //! (panic, kill switch, or plain exit) every connected client receives a
 //! terminal [`ClientEvent::Disconnected`] instead of silently hanging on
 //! an event channel that will never speak again. Clients can then
 //! reconnect to a surviving daemon and resubmit in-flight messages with
 //! session sequence numbers; the replicated engines drop the duplicates.
 
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use accelring_core::{FrontendStats, Service, ShedCause};
-use accelring_transport::{AppEvent, NodeHandle, Poller, TransportProbe, TransportStats};
+use accelring_core::{Backoff, Delivery, FrontendStats, RingIdx, Service, ShedCause};
+use accelring_membership::ConfigChange;
+use accelring_transport::{
+    AppEvent, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
+};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 
@@ -33,9 +48,10 @@ use crate::engine::{ClientEvent, EngineError, EngineOptions, EngineOutput, Group
 use crate::frontend::{FrontendOptions, Ingress, SessionMux};
 use crate::proto::GroupAction;
 
-/// Liveness backstop for the pump's select: everything interesting wakes
-/// the select through a channel, so this only bounds how stale the
-/// exported stats can get.
+/// Liveness backstop for the reactor's select when there is no session
+/// socket: everything interesting wakes the select through a channel, so
+/// this only bounds how stale the exported stats can get. Engines with
+/// periodic work of their own shorten it ([`DaemonEngine::idle_tick`]).
 const IDLE_TICK: Duration = Duration::from_millis(50);
 
 /// Wait cap when the session socket is open: a datagram wakes the
@@ -53,8 +69,8 @@ pub struct DaemonOptions {
     /// `Message`/`View`/`Config` events (counted in
     /// [`DaemonStats::events_shed`]) instead of growing daemon memory
     /// without bound. The terminal [`ClientEvent::Disconnected`] is never
-    /// shed — the pump blocks briefly to deliver it, and channel closure
-    /// backstops even that.
+    /// shed — the reactor blocks briefly to deliver it, and channel
+    /// closure backstops even that.
     pub client_queue: Option<usize>,
     /// Session-frontend tuning; set
     /// [`FrontendOptions::session_socket`] to serve remote
@@ -80,56 +96,898 @@ pub struct DaemonStats {
     pub duplicates_dropped: u64,
 }
 
+/// An effect the reactor carries out for its engine: submit a payload
+/// on the ring that must order it, or hand an event to a local client.
+/// A one-ring [`GroupEngine`]'s outputs convert with `ring` 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RingOutput {
+    /// Submit this payload for totally ordered multicast on `ring`.
+    Submit {
+        /// The ring that must order it.
+        ring: RingIdx,
+        /// Encoded group message.
+        payload: Bytes,
+        /// Requested service.
+        service: Service,
+    },
+    /// Hand an event to a local client.
+    Local {
+        /// The local client's name.
+        client: String,
+        /// The event.
+        event: ClientEvent,
+    },
+}
+
+impl From<EngineOutput> for RingOutput {
+    fn from(out: EngineOutput) -> RingOutput {
+        match out {
+            EngineOutput::Submit { payload, service } => RingOutput::Submit {
+                ring: RingIdx::new(0),
+                payload,
+                service,
+            },
+            EngineOutput::Local { client, event } => RingOutput::Local { client, event },
+        }
+    }
+}
+
+/// The engine side of the daemon reactor: the client operations and
+/// ring events every daemon handles, plus hooks for the work only some
+/// daemons do. [`GroupEngine`] implements it for one ring; the
+/// multi-ring daemon implements it over its merge engine.
+pub trait DaemonEngine: Send + 'static {
+    /// The error client calls return.
+    type Error: From<EngineError> + Send + 'static;
+    /// The effects the engine asks the reactor to carry out.
+    type Output: Into<RingOutput>;
+
+    /// Registers a local client; fails for invalid or duplicate names with
+    /// the [`EngineError`] a remote HELLO's ERROR reply carries.
+    fn connect(&mut self, name: &str) -> Result<(), EngineError>;
+    /// The named client joins `group`.
+    fn join(&mut self, name: &str, group: &str) -> Result<Vec<Self::Output>, Self::Error>;
+    /// The named client leaves `group`.
+    fn leave(&mut self, name: &str, group: &str) -> Result<Vec<Self::Output>, Self::Error>;
+    /// Multicasts `payload` to `groups` under session sequence `seq`
+    /// (`0` is unsequenced). `spanning` lets a multi-ring engine split a
+    /// cross-ring group set into per-ring fragments instead of rejecting
+    /// it; one-ring engines ignore it.
+    fn multicast(
+        &mut self,
+        name: &str,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+        seq: u64,
+        spanning: bool,
+    ) -> Result<Vec<Self::Output>, Self::Error>;
+    /// Unregisters a local client, leaving every group.
+    fn disconnect(&mut self, name: &str) -> Result<Vec<Self::Output>, Self::Error>;
+    /// Closes partially packed payloads; called once per reactor turn.
+    fn flush(&mut self) -> Vec<Self::Output>;
+    /// Processes one ordered delivery from `ring`.
+    fn on_delivery(&mut self, ring: RingIdx, delivery: &Delivery) -> Vec<Self::Output>;
+    /// Processes one configuration change on `ring`.
+    fn on_config_change(&mut self, ring: RingIdx, change: &ConfigChange) -> Vec<Self::Output>;
+    /// Sequenced messages dropped as duplicates so far.
+    fn duplicates_dropped(&self) -> u64;
+
+    /// How long the reactor's channel select may sleep without a session
+    /// socket.
+    fn idle_tick(&self) -> Duration {
+        IDLE_TICK
+    }
+    /// Whether client HELLOs are welcome. A daemon still catching up
+    /// drops them silently; the client's retry loop covers the window.
+    fn serving(&self) -> bool {
+        true
+    }
+    /// Handles a daemon-to-daemon frame from the session socket
+    /// ([`Ingress::MapPull`], [`Ingress::MapPush`],
+    /// [`Ingress::SvcQuery`]). Ignored by default.
+    fn on_peer_frame(&mut self, _frame: Ingress, _io: &mut Io) {}
+    /// Per-turn work, after the rings' events are drained and before
+    /// egress is flushed.
+    fn turn(&mut self, _io: &mut Io) {}
+    /// The terminal reason clients see when `ring`'s node dies.
+    fn ring_died(&self, _ring: RingIdx, reason: String) -> String {
+        reason
+    }
+}
+
+/// Engines whose clients may multicast across rings
+/// ([`Client::multicast_spanning`]).
+pub trait SpanningEngine: DaemonEngine {}
+
+impl DaemonEngine for GroupEngine {
+    type Error = EngineError;
+    type Output = EngineOutput;
+
+    fn connect(&mut self, name: &str) -> Result<(), EngineError> {
+        self.client_connect(name)
+    }
+
+    fn join(&mut self, name: &str, group: &str) -> Result<Vec<EngineOutput>, EngineError> {
+        self.client_join(name, group)
+    }
+
+    fn leave(&mut self, name: &str, group: &str) -> Result<Vec<EngineOutput>, EngineError> {
+        self.client_leave(name, group)
+    }
+
+    fn multicast(
+        &mut self,
+        name: &str,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+        seq: u64,
+        _spanning: bool,
+    ) -> Result<Vec<EngineOutput>, EngineError> {
+        self.client_multicast_sequenced(name, groups, payload, service, seq)
+    }
+
+    fn disconnect(&mut self, name: &str) -> Result<Vec<EngineOutput>, EngineError> {
+        self.client_disconnect(name)
+    }
+
+    fn flush(&mut self) -> Vec<EngineOutput> {
+        GroupEngine::flush(self)
+    }
+
+    fn on_delivery(&mut self, _ring: RingIdx, delivery: &Delivery) -> Vec<EngineOutput> {
+        GroupEngine::on_delivery(self, delivery)
+    }
+
+    fn on_config_change(&mut self, _ring: RingIdx, change: &ConfigChange) -> Vec<EngineOutput> {
+        GroupEngine::on_config_change(self, change)
+    }
+
+    fn duplicates_dropped(&self) -> u64 {
+        GroupEngine::duplicates_dropped(self)
+    }
+}
+
+/// What the reactor lends its engine's hooks: the ring nodes
+/// (`nodes()[k]` is ring `k`), the session mux, the daemon's counter
+/// sink, and the backlog-aware submission path.
+pub struct Io {
+    nodes: Vec<NodeHandle>,
+    mux: SessionMux,
+    /// Ring 0's probe doubles as the daemon-level counter sink.
+    probe: TransportProbe,
+    /// Submissions a ring's bounded queue refused, replayed in FIFO
+    /// order under jittered backoff instead of being dropped.
+    retries: VecDeque<(RingIdx, Bytes, Service)>,
+    retry_backoff: Backoff,
+    next_retry: Option<Instant>,
+}
+
+impl Io {
+    /// This daemon's node on every ring.
+    pub fn nodes(&self) -> &[NodeHandle] {
+        &self.nodes
+    }
+
+    /// The session table and socket.
+    pub fn mux(&mut self) -> &mut SessionMux {
+        &mut self.mux
+    }
+
+    /// Ring 0's transport probe, the daemon-level counter sink.
+    pub fn probe(&self) -> &TransportProbe {
+        &self.probe
+    }
+
+    /// Carries out engine outputs: submissions go to their ring (queued
+    /// for retry when the ring is backlogged), local events to the mux.
+    pub fn dispatch<O: Into<RingOutput>>(&mut self, outputs: Vec<O>) {
+        for out in outputs {
+            match out.into() {
+                RingOutput::Submit {
+                    ring,
+                    payload,
+                    service,
+                } => self.submit(ring, payload, service),
+                RingOutput::Local { client, event } => self.mux.deliver(&client, event),
+            }
+        }
+    }
+
+    fn submit(&mut self, ring: RingIdx, payload: Bytes, service: Service) {
+        // Queue behind any pending retry for the same ring: sender FIFO
+        // is what orders a daemon's Ready after its join replays and a
+        // large message's fragments after one another, so overtaking is
+        // not allowed.
+        if self.retries.iter().any(|(r, _, _)| *r == ring) {
+            self.retries.push_back((ring, payload, service));
+            return;
+        }
+        match self.nodes[ring.as_usize()].submit(payload.clone(), service) {
+            Err(SubmitError::Backlogged) => self.retries.push_back((ring, payload, service)),
+            // A stopped ring is dying; its fault event ends the reactor.
+            Ok(()) | Err(SubmitError::Stopped) => {}
+        }
+    }
+
+    /// Replays backpressured submissions once their backoff elapses.
+    fn flush_retries(&mut self) {
+        if self.retries.is_empty() || self.next_retry.is_some_and(|t| Instant::now() < t) {
+            return;
+        }
+        while let Some((ring, payload, service)) = self.retries.pop_front() {
+            if let Err(SubmitError::Backlogged) =
+                self.nodes[ring.as_usize()].submit(payload.clone(), service)
+            {
+                self.retries.push_front((ring, payload, service));
+                self.next_retry = Some(Instant::now() + self.retry_backoff.next_delay());
+                return;
+            }
+        }
+        self.retry_backoff.reset();
+        self.next_retry = None;
+    }
+}
+
 #[derive(Debug, Default)]
 struct SharedStats {
     frontend: Mutex<FrontendStats>,
     duplicates_dropped: AtomicU64,
 }
 
-enum Cmd {
-    Connect {
-        name: String,
-        events: Sender<ClientEvent>,
-        resp: Sender<Result<(), EngineError>>,
-    },
-    Join {
-        name: String,
-        group: String,
-        resp: Sender<Result<(), EngineError>>,
-    },
-    Leave {
-        name: String,
-        group: String,
-        resp: Sender<Result<(), EngineError>>,
-    },
-    Multicast {
-        name: String,
-        groups: Vec<String>,
+/// A client call or daemon query, run against the engine on the
+/// reactor thread.
+type Job<E> = Box<dyn FnOnce(&mut E, &mut Io) + Send>;
+
+/// Work for the reactor thread, run in arrival order between turns.
+enum Cmd<E: DaemonEngine> {
+    Run(Job<E>),
+    Shutdown,
+    ShutdownGraceful { drain: Duration },
+}
+
+/// Runs `f` on the reactor thread and waits for its result; `None` when
+/// the reactor is gone.
+fn round_trip<E: DaemonEngine, T: Send + 'static>(
+    cmd_tx: &Sender<Cmd<E>>,
+    f: impl FnOnce(&mut E, &mut Io) -> T + Send + 'static,
+) -> Option<T> {
+    let (resp_tx, resp_rx) = bounded(1);
+    let _ = cmd_tx.send(Cmd::Run(Box::new(move |engine: &mut E, io: &mut Io| {
+        let _ = resp_tx.send(f(engine, io));
+    })));
+    resp_rx.recv().ok()
+}
+
+/// Runs one client operation through the engine and dispatches its
+/// submissions.
+fn apply<E: DaemonEngine>(
+    engine: &mut E,
+    io: &mut Io,
+    name: &str,
+    action: GroupAction,
+    service: Service,
+    seq: u64,
+    spanning: bool,
+) -> Result<(), E::Error> {
+    let outputs = match action {
+        GroupAction::Data { groups, payload } => {
+            let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
+            engine.multicast(name, &refs, payload, service, seq, spanning)
+        }
+        GroupAction::Join { group } => engine.join(name, &group),
+        GroupAction::Leave { group } => engine.leave(name, &group),
+        GroupAction::Disconnect => {
+            let result = engine.disconnect(name);
+            io.mux.close_name(name);
+            result
+        }
+    }?;
+    io.dispatch(outputs);
+    Ok(())
+}
+
+/// A running reactor thread: the handle a daemon wraps. Dropping it
+/// stops the reactor immediately.
+pub struct Reactor<E: DaemonEngine> {
+    cmd_tx: Sender<Cmd<E>>,
+    thread: Option<JoinHandle<()>>,
+    shared: Arc<SharedStats>,
+    session_addr: Option<SocketAddr>,
+    /// Taken before the nodes move into the thread: one probe per ring
+    /// keeps the transport counters readable from outside.
+    probes: Vec<TransportProbe>,
+}
+
+impl<E: DaemonEngine> std::fmt::Debug for Reactor<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Reactor")
+            .field("session_addr", &self.session_addr)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<E: DaemonEngine> Reactor<E> {
+    /// Spawns the reactor thread `{thread}-{pid}` serving `engine` over
+    /// `nodes` (`nodes[k]` is ring `k`), with the session socket bound
+    /// per `frontend` before this returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty or the session socket cannot be bound.
+    pub fn spawn(
+        thread: &str,
+        nodes: Vec<NodeHandle>,
+        engine: E,
+        frontend: FrontendOptions,
+    ) -> Reactor<E> {
+        let pid = nodes[0].pid();
+        let probes: Vec<TransportProbe> = nodes.iter().map(NodeHandle::probe).collect();
+        let (cmd_tx, cmd_rx) = unbounded();
+        let shared = Arc::new(SharedStats::default());
+        let mux = SessionMux::new(frontend).expect("bind session socket");
+        let session_addr = mux.local_addr();
+        let pump = Pump {
+            engine,
+            io: Io {
+                probe: probes[0].clone(),
+                nodes,
+                mux,
+                retries: VecDeque::new(),
+                retry_backoff: Backoff::new(
+                    Duration::from_millis(2),
+                    Duration::from_millis(250),
+                    u64::from(pid.as_u16()),
+                ),
+                next_retry: None,
+            },
+            shared: shared.clone(),
+            reported: FrontendStats::default(),
+        };
+        let thread = std::thread::Builder::new()
+            .name(format!("{thread}-{pid}"))
+            .spawn(move || pump.run(cmd_rx))
+            .expect("spawn daemon thread");
+        Reactor {
+            cmd_tx,
+            thread: Some(thread),
+            shared,
+            session_addr,
+            probes,
+        }
+    }
+
+    /// The UDP address remote [`crate::frontend::SessionClient`]s dial,
+    /// or `None` when the session socket is disabled.
+    pub fn session_addr(&self) -> Option<SocketAddr> {
+        self.session_addr
+    }
+
+    /// A snapshot of the session frontend's counters (sessions open,
+    /// submits, per-cause sheds, reactor wakeups/syscalls).
+    pub fn frontend_stats(&self) -> FrontendStats {
+        *self.shared.frontend.lock().expect("frontend stats lock")
+    }
+
+    /// Per-ring probes onto the transport counters and buffer pools
+    /// (`probes()[k]` is ring `k`), outliving the reactor.
+    pub fn probes(&self) -> &[TransportProbe] {
+        &self.probes
+    }
+
+    /// Sequenced messages the engine has dropped as duplicates.
+    pub fn duplicates_dropped(&self) -> u64 {
+        self.shared.duplicates_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Connects a local client whose next sequenced multicast is stamped
+    /// `resume_from + 1`, with an event queue of `queue` entries
+    /// (`None`: unbounded). Fails for invalid or duplicate names, or if
+    /// the reactor is no longer running.
+    pub fn connect(
+        &self,
+        name: &str,
+        resume_from: u64,
+        queue: Option<usize>,
+    ) -> Result<Client<E>, E::Error> {
+        let (event_tx, event_rx) = match queue {
+            Some(cap) => bounded(cap),
+            None => unbounded(),
+        };
+        let client = name.to_string();
+        round_trip(&self.cmd_tx, move |engine: &mut E, io: &mut Io| {
+            let result = engine.connect(&client);
+            if result.is_ok() {
+                io.mux.open_adapter(&client, event_tx);
+            }
+            result
+        })
+        .unwrap_or_else(|| Err(EngineError::UnknownClient(name.to_string())))?;
+        Ok(Client {
+            name: name.to_string(),
+            cmd_tx: self.cmd_tx.clone(),
+            event_rx,
+            next_seq: AtomicU64::new(resume_from),
+        })
+    }
+
+    /// Runs `f` on the reactor thread between turns and returns its
+    /// result; `None` when the reactor already stopped.
+    pub fn call<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut E, &mut Io) -> T + Send + 'static,
+    ) -> Option<T> {
+        round_trip(&self.cmd_tx, f)
+    }
+
+    /// Stops the reactor immediately: clients receive
+    /// [`ClientEvent::Disconnected`] and every node stops without a
+    /// departure announcement.
+    pub fn shutdown(mut self) {
+        self.stop(Cmd::Shutdown);
+    }
+
+    /// Flushes pending work, leaves every ring gracefully (bounded by
+    /// `drain`), hands clients the deliveries produced meanwhile, then
+    /// [`ClientEvent::Disconnected`].
+    pub fn shutdown_graceful(mut self, drain: Duration) {
+        self.stop(Cmd::ShutdownGraceful { drain });
+    }
+
+    fn stop(&mut self, cmd: Cmd<E>) {
+        let _ = self.cmd_tx.send(cmd);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl<E: DaemonEngine> Drop for Reactor<E> {
+    fn drop(&mut self) {
+        self.stop(Cmd::Shutdown);
+    }
+}
+
+/// A client connected to a local daemon's reactor. Its event stream is
+/// the daemon's total order (the merged cross-ring order on a multi-ring
+/// daemon), filtered to this client's groups.
+pub struct Client<E: DaemonEngine> {
+    name: String,
+    cmd_tx: Sender<Cmd<E>>,
+    event_rx: Receiver<ClientEvent>,
+    /// Last session sequence number handed out by
+    /// [`Client::multicast_sequenced`].
+    next_seq: AtomicU64,
+}
+
+impl<E: DaemonEngine> std::fmt::Debug for Client<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Client")
+            .field("name", &self.name)
+            .field("next_seq", &self.next_seq)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<E: DaemonEngine> Client<E> {
+    /// This client's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The stream of messages, views, configuration notices, and the
+    /// terminal [`ClientEvent::Disconnected`]. The channel closing without
+    /// one also means the daemon is gone.
+    pub fn events(&self) -> &Receiver<ClientEvent> {
+        &self.event_rx
+    }
+
+    fn call(
+        &self,
+        action: GroupAction,
+        service: Service,
+        seq: u64,
+        spanning: bool,
+    ) -> Result<(), E::Error> {
+        let name = self.name.clone();
+        round_trip(&self.cmd_tx, move |engine: &mut E, io: &mut Io| {
+            apply(engine, io, &name, action, service, seq, spanning)
+        })
+        .unwrap_or_else(|| Err(EngineError::UnknownClient(self.name.clone()).into()))
+    }
+
+    /// Joins a group (on whichever ring the shard map routes it to).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid group names.
+    pub fn join(&self, group: &str) -> Result<(), E::Error> {
+        let group = group.to_string();
+        self.call(GroupAction::Join { group }, Service::Agreed, 0, false)
+    }
+
+    /// Leaves a group.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid group names.
+    pub fn leave(&self, group: &str) -> Result<(), E::Error> {
+        let group = group.to_string();
+        self.call(GroupAction::Leave { group }, Service::Agreed, 0, false)
+    }
+
+    /// Multicasts to one or more groups with cross-group total ordering
+    /// (unsequenced: a resubmission after a daemon failure could be
+    /// delivered twice; use [`Client::multicast_sequenced`] when that
+    /// matters). On a multi-ring daemon all targets must shard onto the
+    /// same ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid names or group counts, and on a
+    /// multi-ring daemon for groups that span rings.
+    pub fn multicast(
+        &self,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+    ) -> Result<(), E::Error> {
+        self.send_with_seq(groups, payload, service, 0, false)
+    }
+
+    /// Multicasts with the session's next sequence number stamped on the
+    /// message, returning that number. If this daemon later dies with the
+    /// message's fate unknown, reconnect elsewhere and resubmit with the
+    /// same number: every engine drops the copy it has already delivered.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::multicast`].
+    pub fn multicast_sequenced(
+        &self,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+    ) -> Result<u64, E::Error> {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.send_with_seq(groups, payload, service, seq, false)?;
+        Ok(seq)
+    }
+
+    fn send_with_seq(
+        &self,
+        groups: &[&str],
         payload: Bytes,
         service: Service,
         seq: u64,
-        resp: Sender<Result<(), EngineError>>,
-    },
-    Disconnect {
-        name: String,
-    },
-    Shutdown,
-    ShutdownGraceful {
-        drain: Duration,
-    },
+        spanning: bool,
+    ) -> Result<(), E::Error> {
+        let groups = groups.iter().map(|g| g.to_string()).collect();
+        self.call(
+            GroupAction::Data { groups, payload },
+            service,
+            seq,
+            spanning,
+        )
+    }
+
+    /// Disconnects, leaving every group.
+    pub fn disconnect(self) {
+        let name = self.name;
+        let job: Job<E> = Box::new(move |engine, io| {
+            let disconnect = GroupAction::Disconnect;
+            let _ = apply(engine, io, &name, disconnect, Service::Agreed, 0, false);
+        });
+        let _ = self.cmd_tx.send(Cmd::Run(job));
+    }
+}
+
+impl Client<GroupEngine> {
+    /// The last sequence number stamped by
+    /// [`Client::multicast_sequenced`] (or the resume watermark if none
+    /// yet). Persist this across reconnects.
+    pub fn last_seq(&self) -> u64 {
+        self.next_seq.load(Ordering::Relaxed)
+    }
+
+    /// Re-sends a message under an explicit session sequence number after
+    /// a reconnect. Delivered at most once ring-wide: duplicates of an
+    /// already-delivered sequence number are suppressed by every engine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError`] for invalid names or group counts.
+    pub fn resubmit(
+        &self,
+        seq: u64,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+    ) -> Result<(), EngineError> {
+        self.send_with_seq(groups, payload, service, seq, false)
+    }
+}
+
+impl<E: SpanningEngine> Client<E> {
+    /// Sequenced multicast to groups that may span rings: the send is
+    /// split into one fragment per ring (same payload, same sequence),
+    /// each covering that ring's subset of the groups; consumers that
+    /// need atomicity commit once every involved group is covered.
+    /// Returns the stamped sequence.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::multicast`], except cross-ring group sets are
+    /// accepted.
+    pub fn multicast_spanning(
+        &self,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+    ) -> Result<u64, E::Error> {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.send_with_seq(groups, payload, service, seq, true)?;
+        Ok(seq)
+    }
+}
+
+/// Why the reactor loop ended.
+enum Exit {
+    /// Immediate shutdown: no ring courtesy.
+    Immediate,
+    /// Graceful shutdown: drain and announce departure.
+    Graceful(Duration),
+    /// A ring's transport node is dead (panic, kill, or exit).
+    RingDead { ring: RingIdx, reason: String },
+}
+
+/// The reactor thread's state.
+struct Pump<E: DaemonEngine> {
+    engine: E,
+    io: Io,
+    shared: Arc<SharedStats>,
+    /// Frontend counters as of the last export, for delta-mirroring the
+    /// shed counts into the transport probe.
+    reported: FrontendStats,
+}
+
+impl<E: DaemonEngine> Pump<E> {
+    fn run(mut self, cmd_rx: Receiver<Cmd<E>>) {
+        // With a session socket, the reactor parks on its descriptor: a
+        // datagram wakes it instantly, channel work is drained each tick.
+        // Without one, the channel-driven select blocks until a command
+        // or ring event arrives (or the engine's idle tick elapses).
+        let mut poller = Poller::new();
+        let session_fd = self.io.mux.poll_fd();
+        if let Some(fd) = session_fd {
+            poller.set_fds(&[fd]);
+        }
+        let idle_tick = self.engine.idle_tick();
+        let mut ingress: Vec<Ingress> = Vec::new();
+
+        let exit = 'pump: loop {
+            if session_fd.is_some() {
+                // Skip the park entirely while egress is backed up: drain it.
+                let tick = if self.io.mux.has_pending_egress() {
+                    Duration::ZERO
+                } else {
+                    REACTOR_TICK
+                };
+                poller.wait(tick);
+            } else {
+                let mut sel = Select::new();
+                sel.recv(&cmd_rx);
+                for node in &self.io.nodes {
+                    sel.recv(node.events());
+                }
+                let _ = sel.ready_timeout(idle_tick);
+            }
+            self.io.mux.note_wakeup();
+
+            loop {
+                match cmd_rx.try_recv() {
+                    Ok(cmd) => {
+                        if let Some(exit) = self.handle_cmd(cmd) {
+                            break 'pump exit;
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    // Every daemon and client handle dropped without Shutdown.
+                    Err(TryRecvError::Disconnected) => break 'pump Exit::Immediate,
+                }
+            }
+            // Session ingest before the engine flush: submits that just
+            // arrived ride the same flush as this tick's command traffic.
+            self.io.mux.ingest(&mut ingress);
+            if !ingress.is_empty() {
+                self.handle_ingress(&mut ingress);
+            }
+            // Close any partially packed payloads so buffered client
+            // messages are not held hostage waiting for more traffic.
+            self.io.dispatch(self.engine.flush());
+
+            if let Some(exit) = self.drain_rings() {
+                break 'pump exit;
+            }
+            self.io.flush_retries();
+            self.engine.turn(&mut self.io);
+            self.io.mux.flush_egress();
+            self.export_stats();
+        };
+        self.finish(exit);
+    }
+
+    /// Feeds every ring's pending events to the engine; `Some` when a
+    /// ring's node died.
+    fn drain_rings(&mut self) -> Option<Exit> {
+        for k in 0..self.io.nodes.len() {
+            let ring = RingIdx::new(k as u16);
+            loop {
+                let outputs = match self.io.nodes[k].events().try_recv() {
+                    Ok(AppEvent::Delivered(d)) => self.engine.on_delivery(ring, &d),
+                    Ok(AppEvent::Config(c)) => self.engine.on_config_change(ring, &c),
+                    Ok(AppEvent::Fault { reason }) => return Some(Exit::RingDead { ring, reason }),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        let reason = "node thread exited".to_string();
+                        return Some(Exit::RingDead { ring, reason });
+                    }
+                };
+                self.io.dispatch(outputs);
+            }
+        }
+        None
+    }
+
+    /// Routes the frames surfaced by one ingest burst of the session
+    /// socket.
+    fn handle_ingress(&mut self, ingress: &mut Vec<Ingress>) {
+        let Pump { engine, io, .. } = self;
+        for ing in ingress.drain(..) {
+            match ing {
+                Ingress::Hello {
+                    name,
+                    resume_seq,
+                    nonce,
+                    addr,
+                } => {
+                    // The HELLO of a daemon still catching up is dropped
+                    // *silently*: an ERROR reply would make
+                    // `SessionClient::connect` fail immediately, while a
+                    // timeout keeps it in its retry loop.
+                    if !engine.serving() {
+                        continue;
+                    }
+                    // The mux decides new-vs-resume, the engine registers
+                    // genuinely new clients.
+                    io.mux
+                        .handle_hello(name, resume_seq, nonce, addr, |n| engine.connect(n));
+                }
+                Ingress::Submit {
+                    name,
+                    seq,
+                    service,
+                    action,
+                } => {
+                    // The wire protocol has no spanning flag, so a remote
+                    // cross-ring multicast takes the split-per-ring path
+                    // (remote KV clients reach cross-shard transactions
+                    // this way). Nor has it a per-submit reply: a
+                    // rejected remote submit is counted, not answered.
+                    if apply(engine, io, &name, action, service, seq, true).is_err() {
+                        io.mux.note_rejected();
+                    }
+                }
+                Ingress::Bye { name } => {
+                    if let Ok(outputs) = engine.disconnect(&name) {
+                        io.dispatch(outputs);
+                    }
+                }
+                frame => engine.on_peer_frame(frame, io),
+            }
+        }
+    }
+
+    /// Handles one command; `Some` ends the reactor loop.
+    fn handle_cmd(&mut self, cmd: Cmd<E>) -> Option<Exit> {
+        match cmd {
+            Cmd::Run(f) => f(&mut self.engine, &mut self.io),
+            Cmd::Shutdown => return Some(Exit::Immediate),
+            Cmd::ShutdownGraceful { drain } => {
+                // Only flush partially packed payloads here. Clients are
+                // deliberately NOT disconnected through the engine: their
+                // routing state must survive the drain so deliveries that
+                // complete during it still reach them. Survivors prune
+                // this daemon's clients via the departure's configuration
+                // change, exactly as they would after a crash — just
+                // sooner, thanks to the leave announcement.
+                self.io.dispatch(self.engine.flush());
+                return Some(Exit::Graceful(drain));
+            }
+        }
+        None
+    }
+
+    /// Publishes the engine and frontend counters, mirroring shed deltas
+    /// into the transport probe so chaos/leak tooling watching
+    /// [`TransportStats`] sees the frontend's drops too.
+    fn export_stats(&mut self) {
+        self.shared
+            .duplicates_dropped
+            .store(self.engine.duplicates_dropped(), Ordering::Relaxed);
+        let now = self.io.mux.stats();
+        let last = self.reported;
+        let probe = &self.io.probe;
+        let mirror = |cause, now: u64, last: u64| {
+            if now > last {
+                probe.note_events_shed(cause, now - last);
+            }
+        };
+        mirror(
+            ShedCause::SlowSession,
+            now.shed_slow_session,
+            last.shed_slow_session,
+        );
+        mirror(
+            ShedCause::GlobalBudget,
+            now.shed_global_budget,
+            last.shed_global_budget,
+        );
+        mirror(
+            ShedCause::DisconnectRace,
+            now.shed_disconnect_race,
+            last.shed_disconnect_race,
+        );
+        self.reported = now;
+        *self.shared.frontend.lock().expect("frontend stats lock") = now;
+    }
+
+    fn finish(mut self, exit: Exit) {
+        let mut nodes = std::mem::take(&mut self.io.nodes);
+        let reason = match exit {
+            Exit::Immediate => "daemon shutdown".to_string(),
+            Exit::RingDead { ring, reason } => self.engine.ring_died(ring, reason),
+            Exit::Graceful(drain) => {
+                // Each node flushes pending work, announces its departure,
+                // and exits; deliveries produced during the drain still
+                // reach the clients before their terminal event.
+                for (k, node) in nodes.drain(..).enumerate() {
+                    let ring = RingIdx::new(k as u16);
+                    let rx = node.leave(drain);
+                    let events = rx.try_iter();
+                    for ev in events.take_while(|ev| !matches!(ev, AppEvent::Fault { .. })) {
+                        if let AppEvent::Delivered(d) = ev {
+                            for out in self.engine.on_delivery(ring, &d) {
+                                if let RingOutput::Local { client, event } = out.into() {
+                                    self.io.mux.deliver(&client, event);
+                                }
+                            }
+                        }
+                    }
+                }
+                "daemon shutdown".to_string()
+            }
+        };
+        self.io.mux.flush_egress();
+        self.io.mux.broadcast_disconnected(&reason);
+        // Stops every node still running; a dead node's handle just
+        // reaps its thread.
+        drop(nodes);
+        self.export_stats();
+    }
 }
 
 /// A running group daemon: the ordering/membership stack plus the group
 /// engine, serving local clients.
 #[derive(Debug)]
 pub struct GroupDaemon {
-    cmd_tx: Sender<Cmd>,
-    thread: Option<JoinHandle<()>>,
-    options: DaemonOptions,
-    shared: Arc<SharedStats>,
-    probe: TransportProbe,
-    session_addr: Option<SocketAddr>,
+    reactor: Reactor<GroupEngine>,
+    client_queue: Option<usize>,
 }
+
+/// A client connected to a local [`GroupDaemon`].
+pub type GroupClient = Client<GroupEngine>;
 
 impl GroupDaemon {
     /// Starts the group layer on top of a running transport node with
@@ -152,41 +1010,23 @@ impl GroupDaemon {
 
     /// Starts the group layer with full runtime options.
     pub fn start_with(node: NodeHandle, options: DaemonOptions) -> GroupDaemon {
-        let (cmd_tx, cmd_rx) = unbounded();
-        let shared = Arc::new(SharedStats::default());
-        let pump_shared = shared.clone();
-        // Taken before the handle moves into the pump thread: the probe
-        // keeps the transport counters readable for the daemon's lifetime.
-        let probe = node.probe();
-        let pump_probe = probe.clone();
-        // Bound before the thread spawns so the session address is known
-        // the moment this constructor returns.
-        let mux = SessionMux::new(options.frontend).expect("bind session socket");
-        let session_addr = mux.local_addr();
-        let thread = std::thread::Builder::new()
-            .name(format!("group-daemon-{}", node.pid()))
-            .spawn(move || pump(node, cmd_rx, options.engine, mux, pump_shared, pump_probe))
-            .expect("spawn group daemon thread");
+        let engine = GroupEngine::with_options(node.pid(), options.engine);
         GroupDaemon {
-            cmd_tx,
-            thread: Some(thread),
-            options,
-            shared,
-            probe,
-            session_addr,
+            reactor: Reactor::spawn("group-daemon", vec![node], engine, options.frontend),
+            client_queue: options.client_queue,
         }
     }
 
     /// The UDP address remote [`crate::frontend::SessionClient`]s dial,
     /// or `None` when the session socket is disabled.
     pub fn session_addr(&self) -> Option<SocketAddr> {
-        self.session_addr
+        self.reactor.session_addr()
     }
 
     /// A snapshot of the session frontend's counters (sessions open,
     /// submits, per-cause sheds, reactor wakeups/syscalls).
     pub fn frontend_stats(&self) -> FrontendStats {
-        *self.shared.frontend.lock().expect("frontend stats lock")
+        self.reactor.frontend_stats()
     }
 
     /// Connects a new local client with no session history (sequenced
@@ -215,63 +1055,39 @@ impl GroupDaemon {
         name: &str,
         resume_from: u64,
     ) -> Result<GroupClient, EngineError> {
-        let event_rx = {
-            let (event_tx, event_rx) = match self.options.client_queue {
-                Some(cap) => bounded(cap),
-                None => unbounded(),
-            };
-            let (resp_tx, resp_rx) = bounded(1);
-            let _ = self.cmd_tx.send(Cmd::Connect {
-                name: name.to_string(),
-                events: event_tx,
-                resp: resp_tx,
-            });
-            resp_rx
-                .recv()
-                .unwrap_or(Err(EngineError::UnknownClient(name.to_string())))?;
-            event_rx
-        };
-        Ok(GroupClient {
-            name: name.to_string(),
-            cmd_tx: self.cmd_tx.clone(),
-            event_rx,
-            next_seq: AtomicU64::new(resume_from),
-        })
+        self.reactor.connect(name, resume_from, self.client_queue)
     }
 
     /// Current runtime counters.
     pub fn stats(&self) -> DaemonStats {
-        let fs = *self.shared.frontend.lock().expect("frontend stats lock");
+        let fs = self.reactor.frontend_stats();
         DaemonStats {
             events_shed: fs.events_shed(),
             events_shed_slow: fs.shed_slow_session,
             events_shed_budget: fs.shed_global_budget,
             events_shed_race: fs.shed_disconnect_race,
-            duplicates_dropped: self.shared.duplicates_dropped.load(Ordering::Relaxed),
+            duplicates_dropped: self.reactor.duplicates_dropped(),
         }
     }
 
     /// A snapshot of the underlying transport node's counters (datagrams,
     /// syscalls, pool hits — the hot-path efficiency numbers), readable
-    /// even though the node handle lives inside the pump thread.
+    /// even though the node handle lives inside the reactor thread.
     pub fn transport_stats(&self) -> TransportStats {
-        self.probe.stats()
+        self.reactor.probes()[0].stats()
     }
 
     /// A clonable probe onto the node's transport counters and buffer
     /// pools, outliving this daemon's shutdown (useful for leak checks).
     pub fn transport_probe(&self) -> TransportProbe {
-        self.probe.clone()
+        self.reactor.probes()[0].clone()
     }
 
     /// Stops the daemon thread immediately. Connected clients receive
     /// [`ClientEvent::Disconnected`]; no departure courtesy is extended to
     /// the ring (peers detect the loss via token-loss timeout).
-    pub fn shutdown(mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 
     /// Gracefully drains and leaves: pending submissions and deliveries
@@ -281,469 +1097,7 @@ impl GroupDaemon {
     /// change prunes this daemon's clients from group views everywhere.
     /// Local clients receive their final deliveries, then
     /// [`ClientEvent::Disconnected`].
-    pub fn shutdown_graceful(mut self, drain: Duration) {
-        let _ = self.cmd_tx.send(Cmd::ShutdownGraceful { drain });
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown_graceful(self, drain: Duration) {
+        self.reactor.shutdown_graceful(drain);
     }
-}
-
-impl Drop for GroupDaemon {
-    fn drop(&mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// A client connected to a local [`GroupDaemon`].
-#[derive(Debug)]
-pub struct GroupClient {
-    name: String,
-    cmd_tx: Sender<Cmd>,
-    event_rx: Receiver<ClientEvent>,
-    /// Last session sequence number handed out by
-    /// [`GroupClient::multicast_sequenced`].
-    next_seq: AtomicU64,
-}
-
-impl GroupClient {
-    /// This client's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The stream of messages, views, configuration notices, and the
-    /// terminal [`ClientEvent::Disconnected`]. The channel closing without
-    /// one also means the daemon is gone.
-    pub fn events(&self) -> &Receiver<ClientEvent> {
-        &self.event_rx
-    }
-
-    /// The last sequence number stamped by
-    /// [`GroupClient::multicast_sequenced`] (or the resume watermark if
-    /// none yet). Persist this across reconnects.
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
-    }
-
-    fn call(
-        &self,
-        make: impl FnOnce(Sender<Result<(), EngineError>>) -> Cmd,
-    ) -> Result<(), EngineError> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(make(resp_tx));
-        resp_rx
-            .recv()
-            .unwrap_or(Err(EngineError::UnknownClient(self.name.clone())))
-    }
-
-    /// Joins a group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for invalid group names.
-    pub fn join(&self, group: &str) -> Result<(), EngineError> {
-        self.call(|resp| Cmd::Join {
-            name: self.name.clone(),
-            group: group.to_string(),
-            resp,
-        })
-    }
-
-    /// Leaves a group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for invalid group names.
-    pub fn leave(&self, group: &str) -> Result<(), EngineError> {
-        self.call(|resp| Cmd::Leave {
-            name: self.name.clone(),
-            group: group.to_string(),
-            resp,
-        })
-    }
-
-    /// Multicasts to one or more groups with cross-group total ordering
-    /// (unsequenced: a resubmission after a daemon failure could be
-    /// delivered twice; use [`GroupClient::multicast_sequenced`] when that
-    /// matters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for invalid names or group counts.
-    pub fn multicast(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<(), EngineError> {
-        self.send_with_seq(groups, payload, service, 0)
-    }
-
-    /// Multicasts with the session's next sequence number stamped on the
-    /// message, returning that number. If this daemon later dies with the
-    /// message's fate unknown, reconnect elsewhere and
-    /// [`GroupClient::resubmit`] with the same number: every engine drops
-    /// the copy it has already delivered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for invalid names or group counts.
-    pub fn multicast_sequenced(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<u64, EngineError> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.send_with_seq(groups, payload, service, seq)?;
-        Ok(seq)
-    }
-
-    /// Re-sends a message under an explicit session sequence number after
-    /// a reconnect. Delivered at most once ring-wide: duplicates of an
-    /// already-delivered sequence number are suppressed by every engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] for invalid names or group counts.
-    pub fn resubmit(
-        &self,
-        seq: u64,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<(), EngineError> {
-        self.send_with_seq(groups, payload, service, seq)
-    }
-
-    fn send_with_seq(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-        seq: u64,
-    ) -> Result<(), EngineError> {
-        self.call(|resp| Cmd::Multicast {
-            name: self.name.clone(),
-            groups: groups.iter().map(|g| g.to_string()).collect(),
-            payload,
-            service,
-            seq,
-            resp,
-        })
-    }
-
-    /// Disconnects, leaving every group.
-    pub fn disconnect(self) {
-        let _ = self.cmd_tx.send(Cmd::Disconnect {
-            name: self.name.clone(),
-        });
-    }
-}
-
-/// Why the pump loop ended.
-enum Exit {
-    /// Immediate shutdown: no ring courtesy.
-    Immediate,
-    /// Graceful shutdown: drain and announce departure.
-    Graceful(Duration),
-    /// The transport node is dead (panic, kill, or exit).
-    NodeDead(String),
-}
-
-struct Pump {
-    engine: GroupEngine,
-    mux: SessionMux,
-    shared: Arc<SharedStats>,
-    probe: TransportProbe,
-    /// Frontend counters as of the last export, for delta-mirroring the
-    /// shed counts into the transport probe.
-    reported: FrontendStats,
-}
-
-impl Pump {
-    fn dispatch(&mut self, outputs: Vec<EngineOutput>, node: &NodeHandle) {
-        for out in outputs {
-            match out {
-                EngineOutput::Submit { payload, service } => {
-                    // Engine traffic is low-rate control fan-out; a full
-                    // command queue here means the daemon is wedged and the
-                    // protocol's own recovery will resynchronize the group.
-                    let _ = node.submit(payload, service);
-                }
-                EngineOutput::Local { client, event } => {
-                    self.mux.deliver(&client, event);
-                }
-            }
-        }
-    }
-
-    /// Routes the engine-relevant frames surfaced by one ingest burst.
-    fn handle_ingress(&mut self, ingress: &mut Vec<Ingress>, node: &NodeHandle) {
-        for ing in ingress.drain(..) {
-            match ing {
-                Ingress::Hello {
-                    name,
-                    resume_seq,
-                    nonce,
-                    addr,
-                } => {
-                    // Split borrow: the mux decides new-vs-resume, the
-                    // engine registers genuinely new clients.
-                    let engine = &mut self.engine;
-                    let mux = &mut self.mux;
-                    mux.handle_hello(name, resume_seq, nonce, addr, |n| engine.client_connect(n));
-                }
-                Ingress::Submit {
-                    name,
-                    seq,
-                    service,
-                    action,
-                } => {
-                    let result = match action {
-                        GroupAction::Data { groups, payload } => {
-                            let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                            self.engine
-                                .client_multicast_sequenced(&name, &refs, payload, service, seq)
-                        }
-                        GroupAction::Join { group } => self.engine.client_join(&name, &group),
-                        GroupAction::Leave { group } => self.engine.client_leave(&name, &group),
-                        GroupAction::Disconnect => {
-                            let result = self.engine.client_disconnect(&name);
-                            self.mux.close_name(&name);
-                            result
-                        }
-                    };
-                    match result {
-                        Ok(outputs) => self.dispatch(outputs, node),
-                        Err(_) => self.mux.note_rejected(),
-                    }
-                }
-                Ingress::Bye { name } => {
-                    if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                        self.dispatch(outputs, node);
-                    }
-                }
-                // Recovery anti-entropy and local services are
-                // multi-ring concerns; the single-ring daemon has no
-                // shard map to serve or adopt and mounts no application.
-                Ingress::MapPull { .. } | Ingress::MapPush { .. } | Ingress::SvcQuery { .. } => {}
-            }
-        }
-    }
-
-    /// Handles one client command; `Some` ends the pump loop.
-    fn handle_cmd(&mut self, cmd: Cmd, node: &NodeHandle) -> Option<Exit> {
-        match cmd {
-            Cmd::Connect { name, events, resp } => {
-                let result = self.engine.client_connect(&name);
-                if result.is_ok() {
-                    self.mux.open_adapter(&name, events);
-                }
-                let _ = resp.send(result);
-            }
-            Cmd::Join { name, group, resp } => {
-                let result = self.engine.client_join(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, node)));
-            }
-            Cmd::Leave { name, group, resp } => {
-                let result = self.engine.client_leave(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, node)));
-            }
-            Cmd::Multicast {
-                name,
-                groups,
-                payload,
-                service,
-                seq,
-                resp,
-            } => {
-                let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                let result = self
-                    .engine
-                    .client_multicast_sequenced(&name, &refs, payload, service, seq);
-                let _ = resp.send(result.map(|o| self.dispatch(o, node)));
-            }
-            Cmd::Disconnect { name } => {
-                if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                    self.dispatch(outputs, node);
-                }
-                self.mux.close_name(&name);
-            }
-            Cmd::Shutdown => return Some(Exit::Immediate),
-            Cmd::ShutdownGraceful { drain } => {
-                // Only flush partially packed payloads here. Clients are
-                // deliberately NOT disconnected through the engine: their
-                // routing state must survive the drain so deliveries that
-                // complete during it still reach them. Survivors prune
-                // this daemon's clients via the departure's configuration
-                // change, exactly as they would after a crash — just
-                // sooner, thanks to the leave announcement.
-                let flushed = self.engine.flush();
-                self.dispatch(flushed, node);
-                return Some(Exit::Graceful(drain));
-            }
-        }
-        None
-    }
-
-    fn on_ring_event(&mut self, ev: AppEvent, node: &NodeHandle) {
-        match ev {
-            AppEvent::Delivered(d) => {
-                let outputs = self.engine.on_delivery(&d);
-                self.dispatch(outputs, node);
-            }
-            AppEvent::Config(c) => {
-                let outputs = self.engine.on_config_change(&c);
-                self.dispatch(outputs, node);
-            }
-            // Handled by the callers (reason needed for Disconnected).
-            AppEvent::Fault { .. } => {}
-        }
-    }
-
-    fn export_stats(&mut self) {
-        self.shared
-            .duplicates_dropped
-            .store(self.engine.duplicates_dropped(), Ordering::Relaxed);
-        let now = self.mux.stats();
-        // Mirror shed deltas into the transport probe so chaos/leak
-        // tooling watching TransportStats sees the frontend's drops too.
-        let d_slow = now.shed_slow_session - self.reported.shed_slow_session;
-        let d_budget = now.shed_global_budget - self.reported.shed_global_budget;
-        let d_race = now.shed_disconnect_race - self.reported.shed_disconnect_race;
-        if d_slow > 0 {
-            self.probe.note_events_shed(ShedCause::SlowSession, d_slow);
-        }
-        if d_budget > 0 {
-            self.probe
-                .note_events_shed(ShedCause::GlobalBudget, d_budget);
-        }
-        if d_race > 0 {
-            self.probe
-                .note_events_shed(ShedCause::DisconnectRace, d_race);
-        }
-        self.reported = now;
-        *self.shared.frontend.lock().expect("frontend stats lock") = now;
-    }
-}
-
-fn pump(
-    node: NodeHandle,
-    cmd_rx: Receiver<Cmd>,
-    options: EngineOptions,
-    mux: SessionMux,
-    shared: Arc<SharedStats>,
-    probe: TransportProbe,
-) {
-    let mut p = Pump {
-        engine: GroupEngine::with_options(node.pid(), options),
-        mux,
-        shared,
-        probe,
-        reported: FrontendStats::default(),
-    };
-    // With a session socket, the reactor parks on its descriptor: a
-    // datagram wakes it instantly, channel work is drained each tick.
-    // Without one, the old fully channel-driven select blocks until a
-    // command or ring event arrives — no polling at all.
-    let mut poller = Poller::new();
-    let session_fd = p.mux.poll_fd();
-    if let Some(fd) = session_fd {
-        poller.set_fds(&[fd]);
-    }
-    let mut ingress: Vec<Ingress> = Vec::new();
-
-    let exit = 'pump: loop {
-        if session_fd.is_some() {
-            // Skip the park entirely while egress is backed up: drain it.
-            let tick = if p.mux.has_pending_egress() {
-                Duration::ZERO
-            } else {
-                REACTOR_TICK
-            };
-            poller.wait(tick);
-        } else {
-            let mut sel = Select::new();
-            sel.recv(&cmd_rx);
-            sel.recv(node.events());
-            let _ = sel.ready_timeout(IDLE_TICK);
-        }
-        p.mux.note_wakeup();
-
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => {
-                    if let Some(exit) = p.handle_cmd(cmd, &node) {
-                        break 'pump exit;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                // Every daemon and client handle dropped without Shutdown.
-                Err(TryRecvError::Disconnected) => break 'pump Exit::Immediate,
-            }
-        }
-        // Session ingest before the engine flush: submits that just
-        // arrived ride the same flush as this tick's command traffic.
-        p.mux.ingest(&mut ingress);
-        if !ingress.is_empty() {
-            p.handle_ingress(&mut ingress, &node);
-        }
-        // Close any partially packed payloads so buffered client messages
-        // are not held hostage waiting for more traffic.
-        let flushed = p.engine.flush();
-        p.dispatch(flushed, &node);
-
-        loop {
-            match node.events().try_recv() {
-                Ok(AppEvent::Fault { reason }) => break 'pump Exit::NodeDead(reason),
-                Ok(ev) => p.on_ring_event(ev, &node),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    break 'pump Exit::NodeDead("node thread exited".to_string());
-                }
-            }
-        }
-        p.mux.flush_egress();
-        p.export_stats();
-    };
-
-    match exit {
-        Exit::Immediate => {
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected("daemon shutdown");
-            node.shutdown();
-        }
-        Exit::Graceful(drain) => {
-            // The node flushes pending work, announces its departure, and
-            // exits; deliveries produced during the drain still reach the
-            // clients before their terminal event.
-            let rx = node.leave(drain);
-            while let Ok(ev) = rx.try_recv() {
-                match ev {
-                    AppEvent::Fault { .. } => break,
-                    AppEvent::Delivered(d) => {
-                        let outputs = p.engine.on_delivery(&d);
-                        for out in outputs {
-                            if let EngineOutput::Local { client, event } = out {
-                                p.mux.deliver(&client, event);
-                            }
-                        }
-                    }
-                    AppEvent::Config(_) => {}
-                }
-            }
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected("daemon shutdown");
-        }
-        Exit::NodeDead(reason) => {
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected(&reason);
-        }
-    }
-    p.export_stats();
 }

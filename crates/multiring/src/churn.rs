@@ -27,7 +27,7 @@ use crate::live::{MultiRingDaemon, MultiRingOptions};
 use crate::recovery::RingSeqs;
 use crate::shard::ShardMap;
 
-/// Ring-counter stride restored per incarnation. The pump thread owns a
+/// Ring-counter stride restored per incarnation. The reactor thread owns a
 /// dead daemon's node handles, so its exact final ring counters are not
 /// recoverable the way the single-ring chaos runner reads them; instead
 /// each incarnation restores `incarnation × stride`, a safe
@@ -261,7 +261,6 @@ impl ChurnCluster {
                 NodeOptions {
                     plane: Some(self.planes[r].clone()),
                     restore_ring_counter: self.incarnations[i as usize] * RING_COUNTER_STRIDE,
-                    ..NodeOptions::default()
                 },
             )?;
             column.push(handle);

@@ -15,8 +15,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use accelring_core::{Delivery, ParticipantId, PerRingStats, RingIdx, Service};
 use accelring_daemon::packing::{self, MapMsg, MigMsg, MigOp};
 use accelring_daemon::proto::decode_group_message;
+#[cfg(test)]
+use accelring_daemon::ClientEvent;
 use accelring_daemon::{
-    ClientEvent, EngineError, EngineOptions, EngineOutput, GroupAction, GroupEngine, GroupMessage,
+    EngineError, EngineOptions, EngineOutput, GroupAction, GroupEngine, GroupMessage,
 };
 use accelring_membership::ConfigChange;
 use bytes::Bytes;
@@ -25,26 +27,10 @@ use crate::merge::{MergedEntry, Merger};
 use crate::migrate::{HeldSend, Migration, MigrationCounters};
 use crate::shard::{ShardMap, ShardMove};
 
-/// An effect the runtime must carry out for the multi-ring engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MultiOutput {
-    /// Submit this payload for totally ordered multicast on one ring.
-    Submit {
-        /// The ring that must order it.
-        ring: RingIdx,
-        /// Encoded group message.
-        payload: Bytes,
-        /// Requested service.
-        service: Service,
-    },
-    /// Hand an event to a local client (already cross-ring merged).
-    Local {
-        /// The local client's name.
-        client: String,
-        /// The event.
-        event: ClientEvent,
-    },
-}
+/// An effect the runtime must carry out for the multi-ring engine:
+/// submit a payload on the ring that must order it, or hand an event to
+/// a local client (already cross-ring merged).
+pub use accelring_daemon::runtime::RingOutput as MultiOutput;
 
 /// Errors from multi-ring client operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -656,15 +642,8 @@ impl MultiRingEngine {
         released
             .into_iter()
             .flat_map(|entry| entry.into_item())
-            .map(|out| match out {
-                EngineOutput::Local { client, event } => MultiOutput::Local { client, event },
-                // Deliveries never produce submissions.
-                EngineOutput::Submit { payload, service } => MultiOutput::Submit {
-                    ring: RingIdx::new(0),
-                    payload,
-                    service,
-                },
-            })
+            // Deliveries produce local events only, never submissions.
+            .map(MultiOutput::from)
             .collect()
     }
 

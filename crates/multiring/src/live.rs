@@ -1,19 +1,21 @@
-//! The runnable multi-ring daemon: a [`MultiRingEngine`] pumped by one
-//! thread over R real UDP transport nodes (one per ring), serving
-//! clients through the session frontend ([`accelring_daemon::frontend`])
-//! — the multi-ring analogue of `accelring_daemon::GroupDaemon`.
-//! In-process clients attach as channel adapters; with
-//! [`FrontendOptions::session_socket`] set the same reactor also serves
-//! remote [`accelring_daemon::SessionClient`]s over UDP, multiplexed in
-//! one slab-indexed session table with fair, credit-gated egress.
+//! The runnable multi-ring daemon: a [`MultiRingEngine`] served over R
+//! real transport nodes (one per ring) by the daemon reactor of
+//! [`accelring_daemon::runtime`] — the same loop that runs
+//! `accelring_daemon::GroupDaemon`, here with R rings. The reactor owns
+//! the client calls, the session frontend, ring-event draining,
+//! backlog-aware submission, supervision and shutdown; this module keeps
+//! only what is specific to multiple rings ([`MultiRingSide`]): skip and
+//! slot-hint ticks, migration watches, the catch-up gate, the recovery
+//! and local-service frames, and the mounted [`AppState`].
 //!
-//! The pump routes every submission to the ring the shard map chose,
-//! feeds each ring's deliveries and configuration changes into the
-//! deterministic merge, and hands clients their events in the merged
-//! cross-ring total order. When any ring's node dies (panic, kill
-//! switch, or plain exit) every connected client receives a terminal
-//! [`ClientEvent::Disconnected`] — a multi-ring daemon without all of
-//! its rings cannot keep its merge promise.
+//! Every submission goes to the ring the shard map chose, each ring's
+//! deliveries and configuration changes feed the deterministic merge,
+//! and clients receive their events in the merged cross-ring total
+//! order. When any ring's node dies (panic, kill switch, or plain exit)
+//! every connected client receives a terminal
+//! [`ClientEvent`](accelring_daemon::ClientEvent)`::Disconnected` — a
+//! multi-ring daemon without all of its rings cannot keep its merge
+//! promise.
 //!
 //! ## Idle-ring skip ticks
 //!
@@ -36,33 +38,24 @@
 //! ([`accelring_daemon::packing::tick_payload_with_slot`]), one
 //! outstanding at a time, lifting the ring's clock to the others'.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, FrontendStats, RingIdx, Service, ShedCause};
+use accelring_core::{Backoff, Delivery, FrontendStats, ParticipantId, RingIdx, Service};
 use accelring_daemon::packing::{tick_payload_with_epoch, tick_payload_with_slot};
 use accelring_daemon::proto::SessionFrame;
-use accelring_daemon::{
-    ClientEvent, EngineError, EngineOptions, FrontendOptions, GroupAction, Ingress, SessionMux,
-};
-use accelring_transport::{
-    AppEvent, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
-};
+use accelring_daemon::runtime::{Client, DaemonEngine, Io, Reactor, SpanningEngine};
+use accelring_daemon::{EngineError, EngineOptions, FrontendOptions, Ingress};
+use accelring_membership::ConfigChange;
+use accelring_transport::{NodeHandle, TransportProbe, TransportStats};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 
 use crate::engine::{MultiOutput, MultiRingEngine, MultiRingError};
 use crate::migrate::MigrationCounters;
 use crate::recovery::{decode_snapshot, encode_snapshot, RecoverySnapshot, RingSeqs};
 use crate::shard::ShardMap;
-
-/// Wait cap when the session socket is open: a datagram wakes the
-/// reactor immediately through `ppoll`; command channels and ring events
-/// (which cannot be polled) are picked up within this tick.
-const REACTOR_TICK: Duration = Duration::from_millis(1);
 
 /// How long a daemon started with [`MultiRingOptions::recovery_peers`]
 /// keeps its serving gate closed waiting for a catch-up snapshot. Past
@@ -71,7 +64,7 @@ const REACTOR_TICK: Duration = Duration::from_millis(1);
 const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Replicated application state mounted on a daemon — the hook through
-/// which the pump serves local-service queries ([`SessionFrame::SvcQuery`])
+/// which the daemon serves local-service queries ([`SessionFrame::SvcQuery`])
 /// outside the ordered path and piggybacks application snapshots on the
 /// recovery pull path (the `app` section of
 /// [`RecoverySnapshot`](crate::recovery::RecoverySnapshot)). The
@@ -176,61 +169,17 @@ pub struct DaemonInspect {
     pub catching_up: bool,
 }
 
-enum Cmd {
-    Connect {
-        name: String,
-        events: Sender<ClientEvent>,
-        resp: Sender<Result<(), MultiRingError>>,
-    },
-    Join {
-        name: String,
-        group: String,
-        resp: Sender<Result<(), MultiRingError>>,
-    },
-    Leave {
-        name: String,
-        group: String,
-        resp: Sender<Result<(), MultiRingError>>,
-    },
-    Multicast {
-        name: String,
-        groups: Vec<String>,
-        payload: Bytes,
-        service: Service,
-        seq: u64,
-        /// Split a cross-ring group set into per-ring fragments instead
-        /// of rejecting it (see
-        /// [`MultiRingEngine::client_multicast_spanning`]).
-        spanning: bool,
-        resp: Sender<Result<(), MultiRingError>>,
-    },
-    Disconnect {
-        name: String,
-    },
-    Migrate {
-        group: String,
-        to: RingIdx,
-        resp: Sender<Result<(), MultiRingError>>,
-    },
-    ExportSeqs {
-        resp: Sender<RingSeqs>,
-    },
-    Inspect {
-        resp: Sender<DaemonInspect>,
-    },
-    Shutdown,
-}
-
 /// A running multi-ring daemon: one transport node per ring plus the
 /// routing engine, serving local clients in the merged order.
 #[derive(Debug)]
 pub struct MultiRingDaemon {
-    cmd_tx: Sender<Cmd>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    probes: Vec<TransportProbe>,
-    shared: Arc<Mutex<FrontendStats>>,
-    session_addr: Option<SocketAddr>,
+    reactor: Reactor<MultiRingSide>,
 }
+
+/// A client connected to a local [`MultiRingDaemon`]. Its event stream
+/// is the daemon's merged cross-ring total order, filtered to this
+/// client's groups.
+pub type MultiRingClient = Client<MultiRingSide>;
 
 impl MultiRingDaemon {
     /// Starts the multi-ring layer over one running transport node per
@@ -267,53 +216,40 @@ impl MultiRingDaemon {
             nodes.iter().all(|n| n.pid() == pid),
             "one daemon must be the same participant on every ring"
         );
-        let (cmd_tx, cmd_rx) = unbounded();
-        // Taken before the handles move into the pump thread: one probe
-        // per ring keeps the transport counters readable from outside.
-        let probes: Vec<TransportProbe> = nodes.iter().map(NodeHandle::probe).collect();
-        let probe = probes[0].clone();
-        let shared = Arc::new(Mutex::new(FrontendStats::default()));
-        let pump_shared = shared.clone();
-        // Bound before the thread spawns so the session address is known
-        // the moment this constructor returns.
-        let mux = SessionMux::new(options.frontend).expect("bind session socket");
-        let session_addr = mux.local_addr();
-        let thread = std::thread::Builder::new()
-            .name(format!("multiring-daemon-{pid}"))
-            .spawn(move || pump(nodes, shards, cmd_rx, options, mux, pump_shared, probe))
-            .expect("spawn multi-ring daemon thread");
+        let frontend = options.frontend;
+        let side = MultiRingSide::new(pid, shards, options);
         MultiRingDaemon {
-            cmd_tx,
-            thread: Some(thread),
-            probes,
-            shared,
-            session_addr,
+            reactor: Reactor::spawn("multiring-daemon", nodes, side, frontend),
         }
     }
 
     /// The UDP address remote [`accelring_daemon::SessionClient`]s dial,
     /// or `None` when the session socket is disabled.
     pub fn session_addr(&self) -> Option<SocketAddr> {
-        self.session_addr
+        self.reactor.session_addr()
     }
 
     /// A snapshot of the session frontend's counters (sessions open,
     /// submits, per-cause sheds, reactor wakeups/syscalls).
     pub fn frontend_stats(&self) -> FrontendStats {
-        *self.shared.lock().expect("frontend stats lock")
+        self.reactor.frontend_stats()
     }
 
     /// Per-ring snapshots of the underlying transport nodes' counters
     /// (`stats[k]` is this daemon's node on ring `k`), readable even
-    /// though the node handles live inside the pump thread.
+    /// though the node handles live inside the reactor thread.
     pub fn transport_stats(&self) -> Vec<TransportStats> {
-        self.probes.iter().map(TransportProbe::stats).collect()
+        self.reactor
+            .probes()
+            .iter()
+            .map(TransportProbe::stats)
+            .collect()
     }
 
     /// Clonable per-ring probes onto transport counters and buffer pools,
     /// outliving this daemon's shutdown (useful for leak checks).
     pub fn transport_probes(&self) -> Vec<TransportProbe> {
-        self.probes.clone()
+        self.reactor.probes().to_vec()
     }
 
     /// Connects a new local client with no session history.
@@ -322,22 +258,7 @@ impl MultiRingDaemon {
     ///
     /// Returns [`MultiRingError`] for invalid or duplicate names.
     pub fn connect(&self, name: &str) -> Result<MultiRingClient, MultiRingError> {
-        let (event_tx, event_rx) = unbounded();
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Connect {
-            name: name.to_string(),
-            events: event_tx,
-            resp: resp_tx,
-        });
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Engine(
-            accelring_daemon::EngineError::UnknownClient(name.to_string()),
-        )))?;
-        Ok(MultiRingClient {
-            name: name.to_string(),
-            cmd_tx: self.cmd_tx.clone(),
-            event_rx,
-            next_seq: AtomicU64::new(0),
-        })
+        self.reactor.connect(name, 0, None)
     }
 
     /// Starts an online migration of `group` onto ring `to`: the
@@ -353,16 +274,18 @@ impl MultiRingDaemon {
     /// Returns [`MultiRingError::Migration`] for invalid targets or a
     /// group already migrating.
     pub fn migrate(&self, group: &str, to: RingIdx) -> Result<(), MultiRingError> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Migrate {
-            group: group.to_string(),
-            to,
-            resp: resp_tx,
+        let name = group.to_string();
+        let started = self.reactor.call(move |side, io| {
+            side.engine
+                .begin_migration(&name, to)
+                .map(|outputs| io.dispatch(outputs))
         });
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Migration {
-            group: group.to_string(),
-            reason: "daemon stopped".to_string(),
-        }))
+        started.unwrap_or_else(|| {
+            Err(MultiRingError::Migration {
+                group: group.to_string(),
+                reason: "daemon stopped".to_string(),
+            })
+        })
     }
 
     /// The engine's per-ring dedup watermarks: `seqs[r]` holds
@@ -372,186 +295,28 @@ impl MultiRingDaemon {
     /// client resubmission across the restart stays suppressed. `None`
     /// when the daemon already stopped.
     pub fn export_seqs(&self) -> Option<RingSeqs> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::ExportSeqs { resp: resp_tx });
-        resp_rx.recv().ok()
+        self.reactor.call(|side, _| side.engine.export_seqs())
     }
 
     /// A probe of the daemon's recovery state (shard-map version, merge
     /// cursor, epoch, serving gate), or `None` when it already stopped.
     pub fn inspect(&self) -> Option<DaemonInspect> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(Cmd::Inspect { resp: resp_tx });
-        resp_rx.recv().ok()
+        self.reactor.call(|side, _| DaemonInspect {
+            map_version: side.engine.shards().version(),
+            merge_cursor: side.engine.merge_cursor(),
+            max_epoch: side.max_epoch,
+            catching_up: side.catchup.is_some(),
+        })
     }
 
     /// Stops the daemon thread and every ring node. Connected clients
-    /// receive [`ClientEvent::Disconnected`].
-    pub fn shutdown(mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// receive [`ClientEvent`](accelring_daemon::ClientEvent)`::Disconnected`.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 }
 
-impl Drop for MultiRingDaemon {
-    fn drop(&mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// A client connected to a local [`MultiRingDaemon`]. Its event stream
-/// is the daemon's merged cross-ring total order, filtered to this
-/// client's groups.
-#[derive(Debug)]
-pub struct MultiRingClient {
-    name: String,
-    cmd_tx: Sender<Cmd>,
-    event_rx: Receiver<ClientEvent>,
-    next_seq: AtomicU64,
-}
-
-impl MultiRingClient {
-    /// This client's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The merged stream of messages, views, configuration notices, and
-    /// the terminal [`ClientEvent::Disconnected`].
-    pub fn events(&self) -> &Receiver<ClientEvent> {
-        &self.event_rx
-    }
-
-    fn call(
-        &self,
-        make: impl FnOnce(Sender<Result<(), MultiRingError>>) -> Cmd,
-    ) -> Result<(), MultiRingError> {
-        let (resp_tx, resp_rx) = bounded(1);
-        let _ = self.cmd_tx.send(make(resp_tx));
-        resp_rx.recv().unwrap_or(Err(MultiRingError::Engine(
-            accelring_daemon::EngineError::UnknownClient(self.name.clone()),
-        )))
-    }
-
-    /// Joins a group on whichever ring the shard map routes it to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MultiRingError`] for invalid group names.
-    pub fn join(&self, group: &str) -> Result<(), MultiRingError> {
-        self.call(|resp| Cmd::Join {
-            name: self.name.clone(),
-            group: group.to_string(),
-            resp,
-        })
-    }
-
-    /// Leaves a group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MultiRingError`] for invalid group names.
-    pub fn leave(&self, group: &str) -> Result<(), MultiRingError> {
-        self.call(|resp| Cmd::Leave {
-            name: self.name.clone(),
-            group: group.to_string(),
-            resp,
-        })
-    }
-
-    /// Multicasts to one or more groups; all targets must shard onto the
-    /// same ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MultiRingError::CrossRing`] when the groups span rings,
-    /// or the engine's error otherwise.
-    pub fn multicast(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<(), MultiRingError> {
-        self.send_with_seq(groups, payload, service, 0, false)
-    }
-
-    /// Like [`MultiRingClient::multicast`] with the session's next
-    /// sequence number stamped on for duplicate suppression; returns it.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiRingClient::multicast`].
-    pub fn multicast_sequenced(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<u64, MultiRingError> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.send_with_seq(groups, payload, service, seq, false)?;
-        Ok(seq)
-    }
-
-    /// Sequenced multicast to groups that may span rings: the send is
-    /// split into one fragment per ring (same payload, same sequence),
-    /// each covering that ring's subset of the groups. See
-    /// [`MultiRingEngine::client_multicast_spanning`] for the commit
-    /// rule consumers apply. Returns the stamped sequence.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiRingClient::multicast`], except cross-ring group sets
-    /// are accepted.
-    pub fn multicast_spanning(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-    ) -> Result<u64, MultiRingError> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.send_with_seq(groups, payload, service, seq, true)?;
-        Ok(seq)
-    }
-
-    fn send_with_seq(
-        &self,
-        groups: &[&str],
-        payload: Bytes,
-        service: Service,
-        seq: u64,
-        spanning: bool,
-    ) -> Result<(), MultiRingError> {
-        self.call(|resp| Cmd::Multicast {
-            name: self.name.clone(),
-            groups: groups.iter().map(|g| g.to_string()).collect(),
-            payload,
-            service,
-            seq,
-            spanning,
-            resp,
-        })
-    }
-
-    /// Disconnects, leaving every group.
-    pub fn disconnect(self) {
-        let _ = self.cmd_tx.send(Cmd::Disconnect {
-            name: self.name.clone(),
-        });
-    }
-}
-
-/// Why the pump loop ended.
-enum Exit {
-    Shutdown,
-    RingDead { ring: RingIdx, reason: String },
-}
-
-/// Pump-side tracking of one in-flight migration: when to give up and
+/// Reactor-side tracking of one in-flight migration: when to give up and
 /// escalate to abort, with jittered backoff between escalations.
 struct MigrationWatch {
     started: Instant,
@@ -574,17 +339,13 @@ struct Catchup {
     next_pull: Option<Instant>,
 }
 
-struct Pump {
+/// The multi-ring engine side of [`MultiRingDaemon`]'s reactor: the
+/// [`MultiRingEngine`] plus the state only a multi-ring daemon keeps.
+pub struct MultiRingSide {
     engine: MultiRingEngine,
-    /// All client sessions — in-process channel adapters and remote UDP
-    /// sessions alike — behind one slab-indexed mux with shared shed
-    /// accounting and fair egress.
-    mux: SessionMux,
-    /// Frontend snapshot store read by [`MultiRingDaemon::frontend_stats`].
-    shared: Arc<Mutex<FrontendStats>>,
-    /// Frontend counters as of the last export, for delta-mirroring the
-    /// shed counts into the transport probe.
-    reported_frontend: FrontendStats,
+    pid: ParticipantId,
+    tick_interval: Duration,
+    migration_timeout: Duration,
     /// Highest regular-configuration counter seen on any ring; carried
     /// by skip ticks so lagging rings align to the newest epoch base.
     max_epoch: u64,
@@ -594,12 +355,9 @@ struct Pump {
     /// Per ring: a slot-hint tick this daemon ordered that the ring has
     /// not delivered anything since (at most one is outstanding).
     hint_outstanding: Vec<bool>,
-    /// Submissions a ring's bounded queue refused, replayed in FIFO
-    /// order under jittered backoff instead of being dropped — a held
-    /// migration flush must not vanish to backpressure.
-    retries: VecDeque<(RingIdx, Bytes, Service)>,
-    retry_backoff: Backoff,
-    next_retry: Option<Instant>,
+    /// Per ring: when it last delivered anything (ticks included) — the
+    /// idleness clock pacing this daemon's skip ticks.
+    last_delivery: Vec<Instant>,
     watches: HashMap<String, MigrationWatch>,
     /// Engine counters already reported onto the probe.
     reported: MigrationCounters,
@@ -610,99 +368,88 @@ struct Pump {
     /// Application state mounted on this daemon (serves SVC_QUERY
     /// frames, rides the recovery pull path).
     app: Option<Arc<dyn AppState>>,
-    /// Ring-0 node's probe doubles as the daemon-level counter sink for
-    /// migration lifecycle stats.
-    probe: TransportProbe,
 }
 
-impl Pump {
-    fn dispatch(&mut self, outputs: Vec<MultiOutput>, nodes: &[NodeHandle]) {
-        for out in outputs {
-            match out {
-                MultiOutput::Submit {
-                    ring,
-                    payload,
-                    service,
-                } => {
-                    // Queue behind any pending retry for the same ring:
-                    // sender FIFO is what orders a daemon's Ready after
-                    // its join replays, so overtaking is not allowed.
-                    if self.retries.iter().any(|(r, _, _)| *r == ring) {
-                        self.retries.push_back((ring, payload, service));
-                        continue;
-                    }
-                    match nodes[ring.as_usize()].submit(payload.clone(), service) {
-                        Ok(()) => {}
-                        Err(SubmitError::Backlogged) => {
-                            self.retries.push_back((ring, payload, service));
-                        }
-                        // Ring dying; its Fault event ends the pump.
-                        Err(SubmitError::Stopped) => {}
-                    }
+impl MultiRingSide {
+    fn new(pid: ParticipantId, shards: ShardMap, options: MultiRingOptions) -> MultiRingSide {
+        let rings = shards.rings() as usize;
+        let mut engine = MultiRingEngine::with_options(pid, shards, options.lambda, options.engine);
+        // In-process seed first (free), network catch-up second: both are
+        // monotone, so layering them can only tighten the dedup watermarks.
+        if let Some(seed) = &options.recovery_seed {
+            engine.seed_seqs(seed);
+        }
+        let now = Instant::now();
+        // The serving gate only arms when there is a socket to pull
+        // through; an adapter-only daemon cannot reach its peers.
+        let catchup =
+            (!options.recovery_peers.is_empty() && options.frontend.session_socket).then(|| {
+                // Wall-clock entropy keeps a restarted incarnation's nonce
+                // from colliding with its predecessor's, so a push
+                // answering the old incarnation's pull is ignored
+                // (harmless anyway — application is monotone — but the
+                // counters stay honest).
+                let nonce = std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_nanos() as u64)
+                    .unwrap_or(0)
+                    ^ (u64::from(pid.as_u16()) << 48);
+                Catchup {
+                    peers: options.recovery_peers,
+                    nonce,
+                    started: now,
+                    deadline: now + CATCHUP_DEADLINE,
+                    backoff: Backoff::new(
+                        Duration::from_millis(10),
+                        Duration::from_millis(250),
+                        u64::from(pid.as_u16()),
+                    ),
+                    next_pull: None,
                 }
-                MultiOutput::Local { client, event } => {
-                    self.mux.deliver(&client, event);
-                }
-            }
+            });
+        MultiRingSide {
+            engine,
+            pid,
+            tick_interval: options.tick_interval,
+            migration_timeout: options.migration_timeout,
+            max_epoch: 0,
+            tick_leader: vec![false; rings],
+            hint_outstanding: vec![false; rings],
+            last_delivery: vec![now; rings],
+            watches: HashMap::new(),
+            reported: MigrationCounters::default(),
+            reported_maps_adopted: 0,
+            catchup,
+            app: options.app_state,
         }
-    }
-
-    /// Replays backpressured submissions once their backoff elapses.
-    fn flush_retries(&mut self, nodes: &[NodeHandle]) {
-        if self.retries.is_empty() {
-            return;
-        }
-        if let Some(t) = self.next_retry {
-            if Instant::now() < t {
-                return;
-            }
-        }
-        while let Some((ring, payload, service)) = self.retries.pop_front() {
-            match nodes[ring.as_usize()].submit(payload.clone(), service) {
-                Ok(()) => continue,
-                Err(SubmitError::Backlogged) => {
-                    self.retries.push_front((ring, payload, service));
-                    self.next_retry = Some(Instant::now() + self.retry_backoff.next_delay());
-                    return;
-                }
-                Err(SubmitError::Stopped) => continue,
-            }
-        }
-        self.retry_backoff.reset();
-        self.next_retry = None;
     }
 
     /// Drives migration timeouts and mirrors the engine's lifecycle
     /// counters onto the transport probe.
-    fn service_migrations(&mut self, nodes: &[NodeHandle], timeout: Duration) {
-        let inflight: std::collections::BTreeSet<String> = self
+    fn service_migrations(&mut self, io: &mut Io) {
+        let inflight: BTreeSet<String> = self
             .engine
             .migrations_in_flight()
             .into_iter()
             .map(|(g, _, _)| g)
             .collect();
         // Decisions that landed: record the fence wait, drop the watch.
-        let finished: Vec<String> = self
-            .watches
-            .keys()
-            .filter(|g| !inflight.contains(*g))
-            .cloned()
-            .collect();
-        for g in finished {
-            if let Some(w) = self.watches.remove(&g) {
-                self.probe.note_fence_wait(w.started.elapsed());
+        self.watches.retain(|g, w| {
+            let live = inflight.contains(g);
+            if !live {
+                io.probe().note_fence_wait(w.started.elapsed());
             }
-        }
+            live
+        });
         let now = Instant::now();
-        let pid = nodes[0].pid().as_u16();
         for g in &inflight {
             self.watches.entry(g.clone()).or_insert_with(|| {
-                let seed = g.bytes().fold(u64::from(pid), |h, b| {
+                let seed = g.bytes().fold(u64::from(self.pid.as_u16()), |h, b| {
                     h.wrapping_mul(31).wrapping_add(u64::from(b))
                 });
                 MigrationWatch {
                     started: now,
-                    deadline: now + timeout,
+                    deadline: now + self.migration_timeout,
                     backoff: Backoff::new(Duration::from_millis(100), Duration::from_secs(1), seed),
                     next_abort: None,
                 }
@@ -711,546 +458,266 @@ impl Pump {
         // Past-deadline migrations: escalate to abort (ordered on the
         // source ring; first escalation to land decides for everyone),
         // re-sending under backoff until the decision comes back.
-        let due: Vec<String> = self
-            .watches
-            .iter()
-            .filter(|(g, w)| {
-                inflight.contains(*g) && now >= w.deadline && w.next_abort.is_none_or(|t| now >= t)
-            })
-            .map(|(g, _)| g.clone())
-            .collect();
-        for g in due {
-            let outs = self.engine.abort_migration(&g);
-            self.dispatch(outs, nodes);
-            if let Some(w) = self.watches.get_mut(&g) {
+        for (g, w) in &mut self.watches {
+            if now >= w.deadline && w.next_abort.is_none_or(|t| now >= t) {
+                io.dispatch(self.engine.abort_migration(g));
                 w.next_abort = Some(Instant::now() + w.backoff.next_delay());
             }
         }
         let c = self.engine.migration_counters();
         let d = self.reported;
+        let probe = io.probe();
         if c.started > d.started {
-            self.probe.note_migrations_started(c.started - d.started);
+            probe.note_migrations_started(c.started - d.started);
         }
         if c.committed > d.committed {
-            self.probe
-                .note_migrations_committed(c.committed - d.committed);
+            probe.note_migrations_committed(c.committed - d.committed);
         }
         if c.aborted > d.aborted {
-            self.probe.note_migrations_aborted(c.aborted - d.aborted);
+            probe.note_migrations_aborted(c.aborted - d.aborted);
         }
         if c.redirected > d.redirected {
-            self.probe
-                .note_submissions_redirected(c.redirected - d.redirected);
+            probe.note_submissions_redirected(c.redirected - d.redirected);
         }
         self.reported = c;
-    }
-
-    /// Routes the engine-relevant frames surfaced by one ingest burst of
-    /// the session socket.
-    fn handle_ingress(&mut self, ingress: &mut Vec<Ingress>, nodes: &[NodeHandle]) {
-        for ing in ingress.drain(..) {
-            match ing {
-                Ingress::Hello {
-                    name,
-                    resume_seq,
-                    nonce,
-                    addr,
-                } => {
-                    // A daemon still catching up must not welcome
-                    // clients onto a stale shard map or unseeded dedup
-                    // state. The HELLO is dropped *silently* — an ERROR
-                    // reply would make `SessionClient::connect` fail
-                    // immediately, while a timeout keeps it in its
-                    // retry loop, which comfortably outlasts the gate.
-                    if self.catchup.is_some() {
-                        continue;
-                    }
-                    // Split borrow: the mux decides new-vs-resume, the
-                    // engine registers genuinely new clients (on every
-                    // ring at once).
-                    let engine = &mut self.engine;
-                    let mux = &mut self.mux;
-                    mux.handle_hello(name, resume_seq, nonce, addr, |n| {
-                        engine.client_connect(n).map_err(|e| match e {
-                            MultiRingError::Engine(e) => e,
-                            // `client_connect` cannot raise the
-                            // multi-ring-only variants; keep the message
-                            // for the ERROR frame if it ever does.
-                            other => EngineError::UnknownClient(other.to_string()),
-                        })
-                    });
-                }
-                Ingress::Submit {
-                    name,
-                    seq,
-                    service,
-                    action,
-                } => {
-                    let result = match action {
-                        GroupAction::Data { groups, payload } => {
-                            let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                            // The wire protocol has no spanning flag, so
-                            // a remote cross-ring multicast degrades to
-                            // the split-per-ring path instead of being
-                            // silently counted away — remote KV clients
-                            // reach cross-shard transactions this way.
-                            match self.engine.client_multicast_sequenced(
-                                &name,
-                                &refs,
-                                payload.clone(),
-                                service,
-                                seq,
-                            ) {
-                                Err(MultiRingError::CrossRing { .. }) => self
-                                    .engine
-                                    .client_multicast_spanning(&name, &refs, payload, service, seq),
-                                other => other,
-                            }
-                        }
-                        GroupAction::Join { group } => self.engine.client_join(&name, &group),
-                        GroupAction::Leave { group } => self.engine.client_leave(&name, &group),
-                        GroupAction::Disconnect => {
-                            let result = self.engine.client_disconnect(&name);
-                            self.mux.close_name(&name);
-                            result
-                        }
-                    };
-                    match result {
-                        Ok(outputs) => self.dispatch(outputs, nodes),
-                        // Cross-ring multicasts land here too: the wire
-                        // protocol has no per-submit reply, so a rejected
-                        // remote submit is counted, not answered.
-                        Err(_) => self.mux.note_rejected(),
-                    }
-                }
-                Ingress::Bye { name } => {
-                    if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                        self.dispatch(outputs, nodes);
-                    }
-                }
-                Ingress::MapPull {
-                    nonce,
-                    want_epoch,
-                    addr,
-                } => {
-                    // Serve a state snapshot to a rejoining peer — but
-                    // only from trustworthy state: a daemon that is
-                    // itself gated, or whose view is behind what the
-                    // requester already observed, stays silent and
-                    // lets a fresher peer (or the requester's own
-                    // deadline) answer.
-                    if self.catchup.is_some() || self.max_epoch < want_epoch {
-                        continue;
-                    }
-                    let snap = RecoverySnapshot {
-                        epoch: self.max_epoch,
-                        cursor: self.engine.merge_cursor(),
-                        map: self.engine.map_msg(),
-                        seqs: self.engine.export_seqs(),
-                        app: self.app.as_ref().map(|a| a.snapshot()).unwrap_or_default(),
-                    };
-                    let frame = SessionFrame::MapPush {
-                        nonce,
-                        epoch: snap.epoch,
-                        slot: snap.cursor,
-                        map_version: snap.map.version,
-                        body: encode_snapshot(&snap),
-                    };
-                    self.mux.send_session_frame(&frame, addr);
-                    self.probe.note_recovery_pushes_served(1);
-                }
-                Ingress::MapPush { nonce, body, .. } => {
-                    // Only a gated daemon consumes pushes, and only for
-                    // the pull nonce it stamped this incarnation; late
-                    // or unsolicited pushes are ignored. A malformed
-                    // body degrades to the next backoff pull — a
-                    // misbehaving peer cannot wedge recovery.
-                    let matches = self.catchup.as_ref().is_some_and(|c| c.nonce == nonce);
-                    if !matches {
-                        continue;
-                    }
-                    let Ok(snap) = decode_snapshot(body) else {
-                        continue;
-                    };
-                    // Both applications are monotone (strictly-newer
-                    // map adoption, max-merged watermarks), so a
-                    // snapshot racing this daemon's own ring traffic
-                    // is safe in either order.
-                    self.engine.adopt_map(&snap.map);
-                    self.engine.seed_seqs(&snap.seqs);
-                    if !snap.app.is_empty() {
-                        if let Some(app) = &self.app {
-                            app.install(&snap.app);
-                        }
-                    }
-                    self.max_epoch = self.max_epoch.max(snap.epoch);
-                    self.probe.note_recovery_snapshots_applied(1);
-                    if let Some(c) = self.catchup.take() {
-                        self.probe.note_recovery_catchup_wait(c.started.elapsed());
-                    }
-                }
-                Ingress::SvcQuery { nonce, body, addr } => {
-                    // Answered outside the ordered path — but never from
-                    // behind the serving gate: a catching-up daemon's
-                    // application state is as stale as its shard map.
-                    if self.catchup.is_some() {
-                        continue;
-                    }
-                    let reply = self.app.as_ref().and_then(|a| a.query(&body));
-                    if let Some(body) = reply {
-                        let frame = SessionFrame::SvcReply { nonce, body };
-                        self.mux.send_session_frame(&frame, addr);
-                    }
-                }
-            }
-        }
     }
 
     /// Drives the catch-up gate: re-sends MAP_PULLs under backoff and
     /// opens the gate at the deadline if no snapshot ever landed (every
     /// peer gone means this daemon *is* the cluster now).
-    fn service_catchup(&mut self) {
+    fn service_catchup(&mut self, io: &mut Io) {
         let Some(c) = self.catchup.as_mut() else {
             return;
         };
         let now = Instant::now();
         if now >= c.deadline {
-            let c = self.catchup.take().expect("catchup present");
-            self.probe.note_recovery_catchup_wait(c.started.elapsed());
+            io.probe().note_recovery_catchup_wait(c.started.elapsed());
+            self.catchup = None;
             return;
         }
         if c.next_pull.is_some_and(|t| now < t) {
             return;
         }
         c.next_pull = Some(now + c.backoff.next_delay());
-        let nonce = c.nonce;
-        let peers = c.peers.clone();
         // Advertise the epoch this daemon has already observed through
         // its reforming rings: a peer that has not seen that far yet is
         // not a catch-up source and stays silent.
         let frame = SessionFrame::MapPull {
-            nonce,
+            nonce: c.nonce,
             want_epoch: self.max_epoch,
         };
-        for addr in &peers {
-            self.mux.send_session_frame(&frame, *addr);
+        for addr in &c.peers {
+            io.mux().send_session_frame(&frame, *addr);
         }
-        self.probe.note_recovery_pulls_sent(peers.len() as u64);
+        io.probe().note_recovery_pulls_sent(c.peers.len() as u64);
     }
 
-    /// Handles one client command; `true` ends the pump loop.
-    fn handle_cmd(&mut self, cmd: Cmd, nodes: &[NodeHandle]) -> bool {
-        match cmd {
-            Cmd::Connect { name, events, resp } => {
-                let result = self.engine.client_connect(&name);
-                if result.is_ok() {
-                    self.mux.open_adapter(&name, events);
-                }
-                let _ = resp.send(result);
-            }
-            Cmd::Join { name, group, resp } => {
-                let result = self.engine.client_join(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
-            }
-            Cmd::Leave { name, group, resp } => {
-                let result = self.engine.client_leave(&name, &group);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
-            }
-            Cmd::Multicast {
-                name,
-                groups,
-                payload,
-                service,
-                seq,
-                spanning,
-                resp,
-            } => {
-                let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                let result = if spanning {
-                    self.engine
-                        .client_multicast_spanning(&name, &refs, payload, service, seq)
-                } else {
-                    self.engine
-                        .client_multicast_sequenced(&name, &refs, payload, service, seq)
-                };
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
-            }
-            Cmd::Disconnect { name } => {
-                if let Ok(outputs) = self.engine.client_disconnect(&name) {
-                    self.dispatch(outputs, nodes);
-                }
-                self.mux.close_name(&name);
-            }
-            Cmd::Migrate { group, to, resp } => {
-                let result = self.engine.begin_migration(&group, to);
-                let _ = resp.send(result.map(|o| self.dispatch(o, nodes)));
-            }
-            Cmd::ExportSeqs { resp } => {
-                let _ = resp.send(self.engine.export_seqs());
-            }
-            Cmd::Inspect { resp } => {
-                let _ = resp.send(DaemonInspect {
-                    map_version: self.engine.shards().version(),
-                    merge_cursor: self.engine.merge_cursor(),
-                    max_epoch: self.max_epoch,
-                    catching_up: self.catchup.is_some(),
-                });
-            }
-            Cmd::Shutdown => return true,
-        }
-        false
-    }
-
-    /// Publishes frontend counters and mirrors shed deltas into the
-    /// ring-0 transport probe so chaos/leak tooling watching
-    /// [`TransportStats`] sees the frontend's drops too.
-    fn export_frontend_stats(&mut self) {
-        let now = self.mux.stats();
-        let d_slow = now.shed_slow_session - self.reported_frontend.shed_slow_session;
-        let d_budget = now.shed_global_budget - self.reported_frontend.shed_global_budget;
-        let d_race = now.shed_disconnect_race - self.reported_frontend.shed_disconnect_race;
-        if d_slow > 0 {
-            self.probe.note_events_shed(ShedCause::SlowSession, d_slow);
-        }
-        if d_budget > 0 {
-            self.probe
-                .note_events_shed(ShedCause::GlobalBudget, d_budget);
-        }
-        if d_race > 0 {
-            self.probe
-                .note_events_shed(ShedCause::DisconnectRace, d_race);
-        }
-        self.reported_frontend = now;
-        *self.shared.lock().expect("frontend stats lock") = now;
-    }
-
-    /// Mirrors the engine's shard-map adoption count onto the probe so
-    /// chaos/bench tooling watching [`TransportStats`] sees gossip heal.
-    fn mirror_recovery_counters(&mut self) {
-        let adopted = self.engine.maps_adopted();
-        if adopted > self.reported_maps_adopted {
-            self.probe
-                .note_recovery_maps_adopted(adopted - self.reported_maps_adopted);
-            self.reported_maps_adopted = adopted;
-        }
-    }
-}
-
-fn pump(
-    nodes: Vec<NodeHandle>,
-    shards: ShardMap,
-    cmd_rx: Receiver<Cmd>,
-    options: MultiRingOptions,
-    mux: SessionMux,
-    shared: Arc<Mutex<FrontendStats>>,
-    probe: TransportProbe,
-) {
-    let pid = nodes[0].pid();
-    let mut engine = MultiRingEngine::with_options(pid, shards, options.lambda, options.engine);
-    // In-process seed first (free), network catch-up second: both are
-    // monotone, so layering them can only tighten the dedup watermarks.
-    if let Some(seed) = &options.recovery_seed {
-        engine.seed_seqs(seed);
-    }
-    // The serving gate only arms when there is a socket to pull
-    // through; an adapter-only daemon cannot reach its peers.
-    let catchup = if !options.recovery_peers.is_empty() && mux.local_addr().is_some() {
-        let now = Instant::now();
-        // Wall-clock entropy keeps a restarted incarnation's nonce from
-        // colliding with its predecessor's, so a push answering the old
-        // incarnation's pull is ignored (harmless anyway — application
-        // is monotone — but the counters stay honest).
-        let nonce = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-            ^ (u64::from(pid.as_u16()) << 48);
-        Some(Catchup {
-            peers: options.recovery_peers.clone(),
-            nonce,
-            started: now,
-            deadline: now + CATCHUP_DEADLINE,
-            backoff: Backoff::new(
-                Duration::from_millis(10),
-                Duration::from_millis(250),
-                u64::from(pid.as_u16()),
-            ),
-            next_pull: None,
-        })
-    } else {
-        None
-    };
-    let mut p = Pump {
-        engine,
-        mux,
-        shared,
-        reported_frontend: FrontendStats::default(),
-        max_epoch: 0,
-        tick_leader: vec![false; nodes.len()],
-        hint_outstanding: vec![false; nodes.len()],
-        retries: VecDeque::new(),
-        retry_backoff: Backoff::new(
-            Duration::from_millis(2),
-            Duration::from_millis(250),
-            u64::from(pid.as_u16()),
-        ),
-        next_retry: None,
-        watches: HashMap::new(),
-        reported: MigrationCounters::default(),
-        reported_maps_adopted: 0,
-        catchup,
-        app: options.app_state.clone(),
-        probe,
-    };
-    // When each ring last delivered anything (ticks included): the
-    // idleness clock pacing this daemon's skip ticks.
-    let mut last_delivery = vec![Instant::now(); nodes.len()];
-    // With a session socket, the reactor parks on its descriptor: a
-    // datagram wakes it instantly, channel work is drained each tick.
-    // Without one, the old fully channel-driven select blocks until a
-    // command or ring event arrives (or the tick interval elapses).
-    let mut poller = Poller::new();
-    let session_fd = p.mux.poll_fd();
-    if let Some(fd) = session_fd {
-        poller.set_fds(&[fd]);
-    }
-    let mut ingress: Vec<Ingress> = Vec::new();
-
-    let exit = 'pump: loop {
-        if session_fd.is_some() {
-            // Skip the park entirely while egress is backed up: drain it.
-            let tick = if p.mux.has_pending_egress() {
-                Duration::ZERO
-            } else {
-                REACTOR_TICK
-            };
-            poller.wait(tick);
-        } else {
-            let mut sel = Select::new();
-            sel.recv(&cmd_rx);
-            for node in &nodes {
-                sel.recv(node.events());
-            }
-            let _ = sel.ready_timeout(options.tick_interval);
-        }
-        p.mux.note_wakeup();
-
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => {
-                    if p.handle_cmd(cmd, &nodes) {
-                        break 'pump Exit::Shutdown;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                // Every daemon and client handle dropped without Shutdown.
-                Err(TryRecvError::Disconnected) => break 'pump Exit::Shutdown,
-            }
-        }
-        // Session ingest before the engine flush: submits that just
-        // arrived ride the same flush as this tick's command traffic.
-        p.mux.ingest(&mut ingress);
-        if !ingress.is_empty() {
-            p.handle_ingress(&mut ingress, &nodes);
-        }
-        // Close partially packed payloads so buffered client messages are
-        // not held hostage waiting for more traffic.
-        let flushed = p.engine.flush();
-        p.dispatch(flushed, &nodes);
-
-        for k in 0..nodes.len() {
-            let ring = RingIdx::new(k as u16);
-            loop {
-                match nodes[k].events().try_recv() {
-                    Ok(AppEvent::Delivered(d)) => {
-                        last_delivery[k] = Instant::now();
-                        p.hint_outstanding[k] = false;
-                        let outputs = p.engine.on_delivery(ring, &d);
-                        p.dispatch(outputs, &nodes);
-                    }
-                    Ok(AppEvent::Config(c)) => {
-                        p.hint_outstanding[k] = false;
-                        if !c.transitional {
-                            p.max_epoch = p.max_epoch.max(c.ring_id.counter());
-                            p.tick_leader[k] = c.members.iter().min() == Some(&pid);
-                        }
-                        let outputs = p.engine.on_config_change(ring, &c);
-                        p.dispatch(outputs, &nodes);
-                    }
-                    Ok(AppEvent::Fault { reason }) => {
-                        break 'pump Exit::RingDead { ring, reason };
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        break 'pump Exit::RingDead {
-                            ring,
-                            reason: "node thread exited".to_string(),
-                        };
-                    }
-                }
-            }
-        }
-
-        p.flush_retries(&nodes);
-        p.service_migrations(&nodes, options.migration_timeout);
-        p.service_catchup();
-        p.mirror_recovery_counters();
-
-        // Skip ticks, the Multi-Ring Paxos coordinator-skip rule. Each
-        // ring's tick leader orders an epoch-carrying no-op on its ring
-        // once the ring has been silent for a tick interval, whether or
-        // not its *own* merge is blocked — other daemons' mergers may be
-        // waiting on the idle ring even when this one has nothing
+    /// Skip ticks, the Multi-Ring Paxos coordinator-skip rule, and
+    /// slot-hint ticks.
+    fn order_ticks(&mut self, io: &mut Io) {
+        // Each ring's tick leader orders an epoch-carrying no-op on its
+        // ring once the ring has been silent for a tick interval, whether
+        // or not its *own* merge is blocked — other daemons' mergers may
+        // be waiting on the idle ring even when this one has nothing
         // queued. The tick's delivery resets the idleness clock, so a
         // persistently idle ring costs one tiny ordered message per
-        // interval; being ordered on the ring makes the advance (and
-        // the epoch alignment of a never-reforming ring) intrinsic to
-        // the ring's stream, identical at every observer.
-        for (k, last) in last_delivery.iter_mut().enumerate() {
-            if p.tick_leader[k] && last.elapsed() >= options.tick_interval {
-                let _ = nodes[k].submit(tick_payload_with_epoch(p.max_epoch), Service::Agreed);
-                // Also reset on submission: while the ring cannot
-                // order (reforming, partitioned), at most one tick
-                // per interval is queued, not one per loop spin.
+        // interval; being ordered on the ring makes the advance (and the
+        // epoch alignment of a never-reforming ring) intrinsic to the
+        // ring's stream, identical at every observer.
+        for (k, last) in self.last_delivery.iter_mut().enumerate() {
+            if self.tick_leader[k] && last.elapsed() >= self.tick_interval {
+                let tick = tick_payload_with_epoch(self.max_epoch);
+                let _ = io.nodes()[k].submit(tick, Service::Agreed);
+                // Also reset on submission: while the ring cannot order
+                // (reforming, partitioned), at most one tick per interval
+                // is queued, not one per loop spin.
                 *last = Instant::now();
             }
         }
         // Slot-hint ticks pace the merge across rings that turn rounds
         // at different speeds: a ring whose watermark trails the others'
         // gets a tick lifting its merge clock to theirs, one at a time.
-        for (ring, slot) in p.engine.lagging_rings() {
+        for (ring, slot) in self.engine.lagging_rings() {
             let k = ring.as_usize();
-            if p.tick_leader[k]
-                && !p.hint_outstanding[k]
-                && nodes[k]
-                    .submit(tick_payload_with_slot(p.max_epoch, slot), Service::Agreed)
-                    .is_ok()
-            {
-                p.hint_outstanding[k] = true;
-            }
-        }
-        p.mux.flush_egress();
-        p.export_frontend_stats();
-    };
-
-    match exit {
-        Exit::Shutdown => {
-            p.mux.flush_egress();
-            p.mux.broadcast_disconnected("daemon shutdown");
-            for node in nodes {
-                node.shutdown();
-            }
-        }
-        Exit::RingDead { ring, reason } => {
-            p.mux.flush_egress();
-            p.mux
-                .broadcast_disconnected(&format!("{ring} died: {reason}"));
-            for node in nodes {
-                if node.is_alive() {
-                    node.shutdown();
-                }
+            if self.tick_leader[k] && !self.hint_outstanding[k] {
+                let hint = tick_payload_with_slot(self.max_epoch, slot);
+                self.hint_outstanding[k] = io.nodes()[k].submit(hint, Service::Agreed).is_ok();
             }
         }
     }
-    p.export_frontend_stats();
+
+    /// Serves a state snapshot to a rejoining peer — but only from
+    /// trustworthy state: a daemon that is itself gated, or whose view
+    /// is behind what the requester already observed, stays silent and
+    /// lets a fresher peer (or the requester's own deadline) answer.
+    fn serve_pull(&self, nonce: u64, want_epoch: u64, addr: SocketAddr, io: &mut Io) {
+        if self.catchup.is_some() || self.max_epoch < want_epoch {
+            return;
+        }
+        let snap = RecoverySnapshot {
+            epoch: self.max_epoch,
+            cursor: self.engine.merge_cursor(),
+            map: self.engine.map_msg(),
+            seqs: self.engine.export_seqs(),
+            app: self.app.as_ref().map(|a| a.snapshot()).unwrap_or_default(),
+        };
+        let frame = SessionFrame::MapPush {
+            nonce,
+            epoch: snap.epoch,
+            slot: snap.cursor,
+            map_version: snap.map.version,
+            body: encode_snapshot(&snap),
+        };
+        io.mux().send_session_frame(&frame, addr);
+        io.probe().note_recovery_pushes_served(1);
+    }
+
+    /// Applies a pushed snapshot. Only a gated daemon consumes pushes,
+    /// and only for the pull nonce it stamped this incarnation; late or
+    /// unsolicited pushes are ignored. A malformed body degrades to the
+    /// next backoff pull — a misbehaving peer cannot wedge recovery.
+    fn apply_push(&mut self, nonce: u64, body: Bytes, io: &mut Io) {
+        if self.catchup.as_ref().is_none_or(|c| c.nonce != nonce) {
+            return;
+        }
+        let Ok(snap) = decode_snapshot(body) else {
+            return;
+        };
+        // Both applications are monotone (strictly-newer map adoption,
+        // max-merged watermarks), so a snapshot racing this daemon's own
+        // ring traffic is safe in either order.
+        self.engine.adopt_map(&snap.map);
+        self.engine.seed_seqs(&snap.seqs);
+        if !snap.app.is_empty() {
+            if let Some(app) = &self.app {
+                app.install(&snap.app);
+            }
+        }
+        self.max_epoch = self.max_epoch.max(snap.epoch);
+        io.probe().note_recovery_snapshots_applied(1);
+        if let Some(c) = self.catchup.take() {
+            io.probe().note_recovery_catchup_wait(c.started.elapsed());
+        }
+    }
+}
+
+impl SpanningEngine for MultiRingSide {}
+
+impl DaemonEngine for MultiRingSide {
+    type Error = MultiRingError;
+    type Output = MultiOutput;
+
+    fn connect(&mut self, name: &str) -> Result<(), EngineError> {
+        // Registers the client on every ring at once.
+        self.engine.client_connect(name).map_err(|e| match e {
+            MultiRingError::Engine(e) => e,
+            // `client_connect` cannot raise the multi-ring-only variants;
+            // keep the message for the ERROR frame if it ever does.
+            other => EngineError::UnknownClient(other.to_string()),
+        })
+    }
+
+    fn join(&mut self, name: &str, group: &str) -> Result<Vec<MultiOutput>, MultiRingError> {
+        self.engine.client_join(name, group)
+    }
+
+    fn leave(&mut self, name: &str, group: &str) -> Result<Vec<MultiOutput>, MultiRingError> {
+        self.engine.client_leave(name, group)
+    }
+
+    fn multicast(
+        &mut self,
+        name: &str,
+        groups: &[&str],
+        payload: Bytes,
+        service: Service,
+        seq: u64,
+        spanning: bool,
+    ) -> Result<Vec<MultiOutput>, MultiRingError> {
+        if spanning {
+            self.engine
+                .client_multicast_spanning(name, groups, payload, service, seq)
+        } else {
+            self.engine
+                .client_multicast_sequenced(name, groups, payload, service, seq)
+        }
+    }
+
+    fn disconnect(&mut self, name: &str) -> Result<Vec<MultiOutput>, MultiRingError> {
+        self.engine.client_disconnect(name)
+    }
+
+    fn flush(&mut self) -> Vec<MultiOutput> {
+        self.engine.flush()
+    }
+
+    fn on_delivery(&mut self, ring: RingIdx, delivery: &Delivery) -> Vec<MultiOutput> {
+        self.last_delivery[ring.as_usize()] = Instant::now();
+        self.hint_outstanding[ring.as_usize()] = false;
+        self.engine.on_delivery(ring, delivery)
+    }
+
+    fn on_config_change(&mut self, ring: RingIdx, change: &ConfigChange) -> Vec<MultiOutput> {
+        let k = ring.as_usize();
+        self.hint_outstanding[k] = false;
+        if !change.transitional {
+            self.max_epoch = self.max_epoch.max(change.ring_id.counter());
+            self.tick_leader[k] = change.members.iter().min() == Some(&self.pid);
+        }
+        self.engine.on_config_change(ring, change)
+    }
+
+    fn duplicates_dropped(&self) -> u64 {
+        self.engine.duplicates_dropped()
+    }
+
+    fn idle_tick(&self) -> Duration {
+        self.tick_interval
+    }
+
+    fn serving(&self) -> bool {
+        // A daemon still catching up must not welcome clients onto a
+        // stale shard map or unseeded dedup state.
+        self.catchup.is_none()
+    }
+
+    fn on_peer_frame(&mut self, frame: Ingress, io: &mut Io) {
+        match frame {
+            Ingress::MapPull {
+                nonce,
+                want_epoch,
+                addr,
+            } => self.serve_pull(nonce, want_epoch, addr, io),
+            Ingress::MapPush { nonce, body, .. } => self.apply_push(nonce, body, io),
+            // Answered outside the ordered path — but never from behind
+            // the serving gate: a catching-up daemon's application state
+            // is as stale as its shard map.
+            Ingress::SvcQuery { nonce, body, addr } if self.catchup.is_none() => {
+                if let Some(body) = self.app.as_ref().and_then(|a| a.query(&body)) {
+                    io.mux()
+                        .send_session_frame(&SessionFrame::SvcReply { nonce, body }, addr);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn turn(&mut self, io: &mut Io) {
+        self.service_migrations(io);
+        self.service_catchup(io);
+        // Mirror the shard-map adoption count onto the probe so
+        // chaos/bench tooling watching [`TransportStats`] sees gossip
+        // heal.
+        let adopted = self.engine.maps_adopted();
+        if adopted > self.reported_maps_adopted {
+            io.probe()
+                .note_recovery_maps_adopted(adopted - self.reported_maps_adopted);
+            self.reported_maps_adopted = adopted;
+        }
+        self.order_ticks(io);
+    }
+
+    fn ring_died(&self, ring: RingIdx, reason: String) -> String {
+        format!("{ring} died: {reason}")
+    }
 }

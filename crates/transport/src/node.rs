@@ -47,8 +47,7 @@ use crate::Transport;
 /// Largest datagram the transport accepts (64 KiB UDP limit).
 const MAX_DATAGRAM: usize = 65_536;
 /// How long an idle loop dozes when it cannot park until its next event:
-/// on the [`Datapath::PerDatagram`] baseline, under a fault plane (the
-/// interposer releases delayed datagrams only when the loop touches the
+/// under a fault plane (the interposer releases delayed datagrams only when the loop touches the
 /// socket), or when a socket or the doorbell has no descriptor to park
 /// on. Every other idle wait parks until a datagram, a doorbell, a
 /// protocol timer or the idle-hold deadline.
@@ -65,8 +64,7 @@ const PARK_CAP: Duration = Duration::from_secs(1);
 /// [`SubmitError::Backlogged`] instead of unbounded memory growth when the
 /// ring cannot keep up with local submitters.
 const COMMAND_QUEUE_CAPACITY: usize = 4096;
-/// Datagrams drained from one socket per poll iteration on the batched
-/// path. Token priority is re-evaluated between batches, so a burst of
+/// Datagrams drained from one socket per poll iteration. Token priority is re-evaluated between batches, so a burst of
 /// data traffic can defer the token by at most this many datagrams.
 const RECV_BATCH: usize = 32;
 /// Idle buffers each pool parks for reuse. Sized so the working set —
@@ -101,7 +99,6 @@ struct StatsInner {
     datagrams_tx: AtomicU64,
     syscalls_rx: AtomicU64,
     syscalls_tx: AtomicU64,
-    bytes_copied: AtomicU64,
     decode_failures: AtomicU64,
     recv_errors: AtomicU64,
     send_errors: AtomicU64,
@@ -178,7 +175,7 @@ pub struct TransportStats {
     /// Total nanoseconds spent gated (not serving sessions) between
     /// (re)start and catch-up completion.
     pub recovery_catchup_wait_ns: u64,
-    /// Hot-datapath counters: syscall batching, pool behaviour, copies.
+    /// Hot-datapath counters: syscall batching and pool behaviour.
     pub hot: HotPathStats,
     /// Shared-memory datapath counters (all zero on a UDP node).
     pub shm: ShmPathStats,
@@ -215,7 +212,6 @@ impl StatsInner {
                 syscalls_tx: self.syscalls_tx.load(Ordering::Relaxed),
                 pool_hits: 0,   // filled from the pools by the callers
                 pool_misses: 0, // that hold the pool handles
-                bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             },
             shm: ShmPathStats::default(), // filled from the ShmCounters
         }
@@ -351,21 +347,6 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// How the event loop moves datagrams (see DESIGN.md section 10).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Datapath {
-    /// `recvmmsg`/`sendmmsg` bursts over pooled zero-copy buffers: recv
-    /// drains up to [`RECV_BATCH`] datagrams per poll, every multicast is
-    /// encoded once, and each flush gathers the whole fanout plus any
-    /// pending token send into per-socket syscall bursts.
-    #[default]
-    Batched,
-    /// The legacy loop — one syscall and one heap copy per datagram, one
-    /// datagram per poll iteration — preserved as the baseline the
-    /// `packet_path` microbench compares against.
-    PerDatagram,
-}
-
 /// Start-time options beyond the protocol and membership configuration.
 #[derive(Debug, Clone, Default)]
 pub struct NodeOptions {
@@ -376,8 +357,6 @@ pub struct NodeOptions {
     /// [`MembershipDaemon::max_ring_counter`]). Read it from the dead
     /// handle via [`NodeHandle::ring_counter`].
     pub restore_ring_counter: u64,
-    /// Which datapath the event loop runs (batched by default).
-    pub datapath: Datapath,
 }
 
 /// The bound socket pair of one daemon, on either backend. The token and
@@ -579,11 +558,8 @@ impl BoundNode {
         let (data_socket, token_socket) = match self.sockets {
             BoundSockets::Udp { data, token } => {
                 // Gathered bursts need kernel buffers deep enough to
-                // absorb a whole fanout at once; the legacy datapath
-                // keeps the kernel defaults it was designed around.
-                if options.datapath == Datapath::Batched {
-                    deepen_socket_buffers(&data, &token);
-                }
+                // absorb a whole fanout at once.
+                deepen_socket_buffers(&data, &token);
                 data.set_nonblocking(true)?;
                 token.set_nonblocking(true)?;
                 boxed(data, token, pid, &options.plane)
@@ -614,7 +590,6 @@ impl BoundNode {
         let ring_info = Arc::new(RingInfoInner::default());
         let recv_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
         let send_pool = BufferPool::new(MAX_DATAGRAM, POOL_MAX_FREE);
-        let datapath = options.datapath;
         let loop_wake = Arc::clone(&wake);
         let thread_ctx = (
             Arc::clone(&stop),
@@ -639,7 +614,7 @@ impl BoundNode {
                     match (loop_wake.control.fd(), loop_wake.submit.fd()) {
                         (Some(control), Some(submit)) => {
                             poller.set_fds(&[data, token, control, submit]);
-                            park_on_events = datapath == Datapath::Batched && !interposed;
+                            park_on_events = !interposed;
                         }
                         _ => poller.set_fds(&[data, token]),
                     }
@@ -665,16 +640,11 @@ impl BoundNode {
                     stats: Arc::clone(&stats),
                     ring_info,
                     start: Instant::now(),
-                    datapath,
                     recv_pool,
                     send_pool,
                     recv_leases: Vec::new(),
                     data_batch: Vec::new(),
                     token_batch: Vec::new(),
-                    scratch: match datapath {
-                        Datapath::PerDatagram => vec![0u8; MAX_DATAGRAM],
-                        Datapath::Batched => Vec::new(),
-                    },
                     poller,
                 };
                 // The loop must never take the whole process down: a panic
@@ -712,7 +682,7 @@ impl BoundNode {
 
 /// A clonable, thread-safe window onto a node's transport counters and
 /// buffer pools, usable after the [`NodeHandle`] itself has been moved
-/// into a pump thread (the daemon and multi-ring runtimes hand these out).
+/// into a daemon's reactor thread (both daemons hand these out).
 #[derive(Debug, Clone)]
 pub struct TransportProbe {
     stats: Arc<StatsInner>,
@@ -747,7 +717,7 @@ impl TransportProbe {
         self.recv_pool.outstanding() + self.send_pool.outstanding()
     }
 
-    /// Records migration fences observed starting (the multi-ring pump
+    /// Records migration fences observed starting (the multi-ring daemon
     /// calls these — the transport itself has no migration knowledge, it
     /// just owns the counter fabric every probe reader already polls).
     pub fn note_migrations_started(&self, n: u64) {
@@ -821,7 +791,7 @@ impl TransportProbe {
 
     /// Records client-bound events the session frontend shed, attributed
     /// to their cause (the frontend calls this the same way the
-    /// multi-ring pump reports migrations).
+    /// multi-ring daemon reports migrations).
     pub fn note_events_shed(&self, cause: ShedCause, n: u64) {
         let counter = match cause {
             ShedCause::SlowSession => &self.stats.events_shed_slow,
@@ -1042,15 +1012,15 @@ struct EventLoop {
     /// How long this node, as ring leader, holds an idle token.
     hold: Duration,
     /// The idle token the leader is holding, with its release deadline
-    /// (ns on the loop clock). Batched datapath only.
+    /// (ns on the loop clock).
     held: Option<(Token, u64)>,
     /// `(ring, seq, aru)` of the last token this node passed on: a token
     /// that comes back with the same values went a whole rotation
     /// without anyone ordering anything.
     last_forwarded: Option<(RingId, Seq, Seq)>,
-    /// Whether an idle wait may park until the next event. False on the
-    /// legacy datapath, under a fault plane, and without descriptors;
-    /// those waits doze in [`IDLE_SLEEP`] quanta.
+    /// Whether an idle wait may park until the next event. False under a
+    /// fault plane and without descriptors; those waits doze in
+    /// [`IDLE_SLEEP`] quanta.
     park_on_events: bool,
     stop: Arc<AtomicBool>,
     leave: Arc<AtomicBool>,
@@ -1058,7 +1028,6 @@ struct EventLoop {
     stats: Arc<StatsInner>,
     ring_info: Arc<RingInfoInner>,
     start: Instant,
-    datapath: Datapath,
     recv_pool: BufferPool,
     send_pool: BufferPool,
     /// Pre-acquired receive leases, topped up to [`RECV_BATCH`] before
@@ -1067,8 +1036,6 @@ struct EventLoop {
     /// Reused scratch for the batched flush (capacity persists).
     data_batch: Vec<(Bytes, SocketAddr)>,
     token_batch: Vec<(Bytes, SocketAddr)>,
-    /// Legacy per-datagram receive buffer (empty on the batched path).
-    scratch: Vec<u8>,
     /// Parks the loop on both socket descriptors and both doorbells when
     /// idle (empty — and therefore a plain sleep — when either socket
     /// cannot expose one).
@@ -1151,8 +1118,6 @@ impl EventLoop {
     /// the park cannot see every event (see [`IDLE_SLEEP`]) it is also
     /// capped at that quantum.
     ///
-    /// The legacy baseline keeps the original fixed-quantum doze.
-    ///
     /// The doorbells are armed before the last look at the work sources,
     /// and both sockets get a [`DatagramSocket::prepare_wait`] call
     /// (non-short-circuiting, so both always arm): a userspace transport
@@ -1161,13 +1126,6 @@ impl EventLoop {
     /// `ppoll` level-triggering. `commands` says whether waiting commands
     /// count as work (not while draining for a leave).
     fn idle_wait(&self, commands: bool) {
-        if self.datapath == Datapath::PerDatagram {
-            if self.data_socket.prepare_wait() | self.token_socket.prepare_wait() {
-                return;
-            }
-            std::thread::sleep(IDLE_SLEEP);
-            return;
-        }
         let now = self.now_ns();
         let mut timeout = if self.park_on_events {
             PARK_CAP
@@ -1244,18 +1202,12 @@ impl EventLoop {
     fn step(&mut self, outputs: &mut Vec<Output>, accept_commands: bool) -> bool {
         let mut did_work = false;
 
-        // 1. Client commands.
-        //
-        //    Batched (the shipping datapath): a submission the daemon
-        //    refuses (send queue full) is parked in `pending_submit` and
-        //    the queue is left alone until it fits — the command channel
-        //    backs up, clients see `Backlogged`, and this loop spends its
-        //    cycles on the sockets instead of shedding a firehose one
-        //    command at a time.
-        //
-        //    PerDatagram (the legacy baseline): the original behavior,
-        //    kept bit-for-bit for the packet_path benchmark — drain the
-        //    whole queue every step and shed whatever the daemon refuses.
+        // 1. Client commands. A submission the daemon refuses (send
+        //    queue full) is parked in `pending_submit` and the queue is
+        //    left alone until it fits — the command channel backs up,
+        //    clients see `Backlogged`, and this loop spends its cycles on
+        //    the sockets instead of shedding a firehose one command at a
+        //    time.
         if accept_commands {
             if let Some((payload, service)) = self.pending_submit.take() {
                 match self.daemon.submit(payload.clone(), service) {
@@ -1269,23 +1221,11 @@ impl EventLoop {
             while self.pending_submit.is_none() {
                 match self.cmd_rx.try_recv() {
                     Ok(Command::Submit(payload, service)) => {
-                        match self.datapath {
-                            Datapath::Batched => {
-                                match self.daemon.submit(payload.clone(), service) {
-                                    Ok(()) => {
-                                        self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(_) => self.pending_submit = Some((payload, service)),
-                                }
+                        match self.daemon.submit(payload.clone(), service) {
+                            Ok(()) => {
+                                self.stats.submissions.fetch_add(1, Ordering::Relaxed);
                             }
-                            Datapath::PerDatagram => match self.daemon.submit(payload, service) {
-                                Ok(()) => {
-                                    self.stats.submissions.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    self.stats.submissions_shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            },
+                            Err(_) => self.pending_submit = Some((payload, service)),
                         }
                         did_work = true;
                     }
@@ -1318,11 +1258,7 @@ impl EventLoop {
         } else {
             [false, true]
         } {
-            let received = match self.datapath {
-                Datapath::Batched => self.recv_burst(pick_token, outputs),
-                Datapath::PerDatagram => self.recv_single(pick_token, outputs),
-            };
-            if received > 0 {
+            if self.recv_burst(pick_token, outputs) > 0 {
                 did_work = true;
                 break; // re-evaluate priority after every batch
             }
@@ -1420,46 +1356,6 @@ impl EventLoop {
         outcome.received
     }
 
-    /// Legacy receive: one syscall, one datagram, one heap copy. Returns
-    /// 1 if a datagram was processed.
-    fn recv_single(&mut self, pick_token: bool, outputs: &mut Vec<Output>) -> usize {
-        let result = {
-            let buf = &mut self.scratch;
-            let socket: &dyn DatagramSocket = if pick_token {
-                self.token_socket.as_ref()
-            } else {
-                self.data_socket.as_ref()
-            };
-            socket.recv_from(buf)
-        };
-        self.stats.syscalls_rx.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok((len, _from)) => {
-                self.stats.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_copied
-                    .fetch_add(len as u64, Ordering::Relaxed);
-                let mut datagram = Bytes::copy_from_slice(&self.scratch[..len]);
-                if let Some(input) = parse_datagram(&mut datagram) {
-                    let now = self.now_ns();
-                    self.daemon.handle(now, input, outputs);
-                    self.flush(outputs);
-                } else {
-                    self.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                1
-            }
-            // An empty non-blocking socket is the steady state, not an
-            // error.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => 0,
-            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
-            Err(_) => {
-                self.stats.recv_errors.fetch_add(1, Ordering::Relaxed);
-                0
-            }
-        }
-    }
-
     /// Graceful departure: keep the protocol running (without new client
     /// commands) until our send queue has gone onto the ring and the
     /// receive buffer has delivered, bounded by the drain budget; then
@@ -1524,13 +1420,6 @@ impl EventLoop {
             .store(self.daemon.max_ring_counter(), Ordering::Relaxed);
     }
 
-    fn flush(&mut self, outputs: &mut Vec<Output>) {
-        match self.datapath {
-            Datapath::Batched => self.flush_batched(outputs),
-            Datapath::PerDatagram => self.flush_per_datagram(outputs),
-        }
-    }
-
     /// Folds a batch send's outcome into the hot-path counters. UDP send
     /// failures are not retried (the protocol's retransmission machinery
     /// owns recovery) but they are counted per failing destination.
@@ -1554,7 +1443,7 @@ impl EventLoop {
     /// Ring releases the token before the multicast completes (paper
     /// Section III-B), so the successor starts its protocol work while our
     /// data is still leaving.
-    fn flush_batched(&mut self, outputs: &mut Vec<Output>) {
+    fn flush(&mut self, outputs: &mut Vec<Output>) {
         let mut data_batch = std::mem::take(&mut self.data_batch);
         let mut token_batch = std::mem::take(&mut self.token_batch);
         for output in outputs.drain(..) {
@@ -1618,72 +1507,6 @@ impl EventLoop {
         // Hand the (emptied, capacity-bearing) scratch vectors back.
         self.data_batch = data_batch;
         self.token_batch = token_batch;
-    }
-
-    /// Sends one datagram on the legacy path, counting the syscall and any
-    /// error.
-    fn send_single(&self, socket: &dyn DatagramSocket, encoded: &[u8], addr: SocketAddr) {
-        self.stats.syscalls_tx.fetch_add(1, Ordering::Relaxed);
-        match socket.send_to(encoded, addr) {
-            Ok(_) => {
-                self.stats.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Legacy flush: one fresh encode per datagram, one syscall per
-    /// datagram — the baseline the packet_path benchmark measures against.
-    fn flush_per_datagram(&mut self, outputs: &mut Vec<Output>) {
-        for output in outputs.drain(..) {
-            match output {
-                Output::Multicast(msg) => {
-                    let encoded = wire::encode_data(&msg);
-                    self.stats.bytes_copied.fetch_add(
-                        (encoded.len() * self.fanout.len()) as u64,
-                        Ordering::Relaxed,
-                    );
-                    for addr in &self.fanout {
-                        self.send_single(self.data_socket.as_ref(), &encoded, *addr);
-                    }
-                }
-                Output::SendToken { to, token } => {
-                    let encoded = wire::encode_token(&token);
-                    self.stats
-                        .bytes_copied
-                        .fetch_add(encoded.len() as u64, Ordering::Relaxed);
-                    if let Some(peer) = self.book.get(to) {
-                        self.send_single(self.token_socket.as_ref(), &encoded, peer.token);
-                    }
-                }
-                Output::SendControl { to, msg } => {
-                    let encoded = encode_control(&msg);
-                    match to {
-                        Some(to) => {
-                            if to == self.pid {
-                                continue;
-                            }
-                            if let Some(peer) = self.book.get(to) {
-                                self.send_single(self.data_socket.as_ref(), &encoded, peer.data);
-                            }
-                        }
-                        None => {
-                            for addr in &self.fanout {
-                                self.send_single(self.data_socket.as_ref(), &encoded, *addr);
-                            }
-                        }
-                    }
-                }
-                Output::Deliver(d) => {
-                    let _ = self.event_tx.send(AppEvent::Delivered(d));
-                }
-                Output::ConfigChange(c) => {
-                    let _ = self.event_tx.send(AppEvent::Config(c));
-                }
-            }
-        }
     }
 }
 
