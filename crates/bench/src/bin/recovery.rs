@@ -3,8 +3,9 @@
 //! latency — from the moment a cycled daemon's ports are rebound to
 //! the moment its serving gate opens on a shard map at least as new as
 //! the survivors' — and checking the recovery invariants on every run:
-//! no stale-map serving, no dedup-watermark regression, and a gap-free
-//! exactly-once workload stream across the storm.
+//! no stale-map serving, no dedup-watermark regression, a gap-free
+//! exactly-once workload stream across the storm, and every rejoined
+//! daemon having sent a MAP_PULL and applied a catch-up snapshot.
 //!
 //! ```text
 //! cargo run --release --bin recovery
@@ -172,7 +173,13 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
         .migrate("hot", RingIdx::new(1))
         .map_err(|e| format!("seed {seed}: migrate rejected: {e}"))?;
     let commit_deadline = Instant::now() + Duration::from_secs(20);
-    while cluster.daemon(0).transport_stats()[0].migrations_committed < 1 {
+    while cluster
+        .daemon(0)
+        .inspect()
+        .ok_or_else(|| format!("seed {seed}: daemon 0 stopped"))?
+        .migrations_committed
+        < 1
+    {
         if Instant::now() > commit_deadline {
             return Err(format!("seed {seed}: migration never committed"));
         }
@@ -250,9 +257,22 @@ fn run_seed(seed: u64) -> Result<SeedOutcome, String> {
     let mut pulls = 0;
     let mut snapshots = 0;
     for d in VICTIMS {
-        let stats = cluster.daemon(d).transport_stats()[0];
+        let stats = cluster
+            .daemon(d)
+            .inspect()
+            .ok_or_else(|| format!("seed {seed}: daemon {d} stopped"))?;
         pulls += stats.recovery_pulls_sent;
         snapshots += stats.recovery_snapshots_applied;
+        // Each victim rejoined once: it must have pulled catch-up state
+        // and applied the snapshot a survivor pushed back.
+        if stats.recovery_pulls_sent == 0 {
+            violations.push(format!("daemon {d} rejoined without sending a MAP_PULL"));
+        }
+        if stats.recovery_snapshots_applied == 0 {
+            violations.push(format!(
+                "daemon {d} rejoined without applying a catch-up snapshot"
+            ));
+        }
     }
     let probes: Vec<_> = (0..NODES)
         .flat_map(|d| cluster.daemon(d).transport_probes())

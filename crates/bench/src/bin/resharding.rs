@@ -217,14 +217,20 @@ fn main() -> ExitCode {
     // Wait out the commit, then release the collector.
     let commit_deadline = Instant::now() + Duration::from_secs(20);
     while Instant::now() < commit_deadline {
-        if cluster.daemon(0).transport_stats()[0].migrations_committed >= 1 {
+        if cluster
+            .daemon(0)
+            .inspect()
+            .expect("daemon up")
+            .migrations_committed
+            >= 1
+        {
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
     stop.store(true, Ordering::Relaxed);
     let got = collector.join().expect("collector thread");
-    let stats = cluster.daemon(0).transport_stats()[0];
+    let stats = cluster.daemon(0).inspect().expect("daemon up");
 
     let ids: Vec<MsgId> = got.iter().map(|(_, id)| *id).collect();
     let violations = check_churn_handoff(&sent, &[(0, ids)]);

@@ -107,17 +107,6 @@ impl HotPathStats {
         }
         (self.datagrams_rx + self.datagrams_tx) as f64 / syscalls as f64
     }
-
-    /// Adds every counter of `other` into `self` (aggregation across the
-    /// nodes of a ring or the rings of a deployment).
-    pub fn absorb(&mut self, other: &HotPathStats) {
-        self.datagrams_rx += other.datagrams_rx;
-        self.datagrams_tx += other.datagrams_tx;
-        self.syscalls_rx += other.syscalls_rx;
-        self.syscalls_tx += other.syscalls_tx;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-    }
 }
 
 /// Counters for the shared-memory intra-host datapath (the `ShmSocket`
@@ -261,27 +250,6 @@ impl FrontendStats {
         }
         self.syscalls as f64 / self.wakeups as f64
     }
-
-    /// Adds every counter of `other` into `self` (gauges
-    /// `sessions_open`/`sessions_peak` take the max instead).
-    pub fn absorb(&mut self, other: &FrontendStats) {
-        self.sessions_open = self.sessions_open.max(other.sessions_open);
-        self.sessions_peak = self.sessions_peak.max(other.sessions_peak);
-        self.hellos += other.hellos;
-        self.resumes += other.resumes;
-        self.closes += other.closes;
-        self.submits += other.submits;
-        self.submits_duplicate += other.submits_duplicate;
-        self.bad_frames += other.bad_frames;
-        self.events_enqueued += other.events_enqueued;
-        self.events_sent += other.events_sent;
-        self.shed_slow_session += other.shed_slow_session;
-        self.shed_global_budget += other.shed_global_budget;
-        self.shed_disconnect_race += other.shed_disconnect_race;
-        self.credits_granted += other.credits_granted;
-        self.wakeups += other.wakeups;
-        self.syscalls += other.syscalls;
-    }
 }
 
 /// Protocol counters broken out by ring index in a multi-ring
@@ -322,14 +290,6 @@ impl PerRingStats {
             self.rings.resize(idx + 1, Stats::default());
         }
         &mut self.rings[idx]
-    }
-
-    /// Adds `other`'s counters into the matching rings of `self`.
-    pub fn absorb(&mut self, other: &PerRingStats) {
-        for (idx, stats) in other.rings.iter().enumerate() {
-            self.ring_mut(crate::mclock::RingIdx::new(idx as u16))
-                .absorb(stats);
-        }
     }
 
     /// All rings' counters summed into one [`Stats`].
@@ -431,10 +391,6 @@ mod tests {
         };
         assert_eq!(shm_shaped.syscalls_per_datagram(), 0.0);
         assert_eq!(shm_shaped.datagrams_per_syscall(), 0.0);
-        let mut sum = hp;
-        sum.absorb(&hp);
-        assert_eq!(sum.datagrams_rx, 120);
-        assert_eq!(sum.syscalls_tx, 20);
     }
 
     #[test]
@@ -472,30 +428,5 @@ mod tests {
         assert_eq!(fs.events_shed(), 10);
         assert!((fs.syscalls_per_wakeup() - 2.5).abs() < 1e-9);
         assert_eq!(FrontendStats::default().syscalls_per_wakeup(), 0.0);
-        let mut sum = fs;
-        sum.absorb(&FrontendStats {
-            sessions_open: 7,
-            sessions_peak: 9,
-            submits: 1,
-            ..FrontendStats::default()
-        });
-        assert_eq!(sum.sessions_open, 7);
-        assert_eq!(sum.sessions_peak, 9);
-        assert_eq!(sum.submits, 1);
-        assert_eq!(sum.events_shed(), 10);
-    }
-
-    #[test]
-    fn per_ring_absorb_aligns_by_ring() {
-        use crate::mclock::RingIdx;
-        let mut a = PerRingStats::new(2);
-        a.ring_mut(RingIdx::new(0)).submitted = 1;
-        let mut b = PerRingStats::new(3);
-        b.ring_mut(RingIdx::new(0)).submitted = 2;
-        b.ring_mut(RingIdx::new(2)).submitted = 3;
-        a.absorb(&b);
-        assert_eq!(a.ring(RingIdx::new(0)).submitted, 3);
-        assert_eq!(a.ring(RingIdx::new(2)).submitted, 3);
-        assert_eq!(a.total().submitted, 6);
     }
 }

@@ -921,7 +921,7 @@ impl SessionClient {
     /// # Errors
     ///
     /// Returns an error if the daemon rejected the name or never
-    /// answered [`HELLO_ATTEMPTS`] jittered retries.
+    /// answered `HELLO_ATTEMPTS` jittered retries.
     pub fn connect(daemon: SocketAddr, name: &str) -> io::Result<SessionClient> {
         SessionClient::connect_session(daemon, name, 0)
     }

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use accelring_core::{Backoff, Delivery, FrontendStats, RingIdx, Service, ShedCause};
+use accelring_core::{Backoff, Delivery, FrontendStats, RingIdx, Service};
 use accelring_membership::ConfigChange;
 use accelring_transport::{
     AppEvent, NodeHandle, Poller, SubmitError, TransportProbe, TransportStats,
@@ -81,17 +81,9 @@ pub struct DaemonOptions {
 /// Counters exported by a running [`GroupDaemon`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
-    /// Client events dropped across all causes (the sum of the per-cause
-    /// counters below).
+    /// Client events dropped across all causes (the per-cause split is
+    /// in [`GroupDaemon::frontend_stats`]).
     pub events_shed: u64,
-    /// Events shed because one session's bounded queue was full.
-    pub events_shed_slow: u64,
-    /// Events shed because the frontend-wide queued-event budget was
-    /// exhausted.
-    pub events_shed_budget: u64,
-    /// Events dropped because their session closed while the delivery
-    /// was in flight.
-    pub events_shed_race: u64,
     /// Sequenced messages dropped by this daemon's engine as duplicates.
     pub duplicates_dropped: u64,
 }
@@ -250,13 +242,11 @@ impl DaemonEngine for GroupEngine {
 }
 
 /// What the reactor lends its engine's hooks: the ring nodes
-/// (`nodes()[k]` is ring `k`), the session mux, the daemon's counter
-/// sink, and the backlog-aware submission path.
+/// (`nodes()[k]` is ring `k`), the session mux, and the backlog-aware
+/// submission path.
 pub struct Io {
     nodes: Vec<NodeHandle>,
     mux: SessionMux,
-    /// Ring 0's probe doubles as the daemon-level counter sink.
-    probe: TransportProbe,
     /// Submissions a ring's bounded queue refused, replayed in FIFO
     /// order under jittered backoff instead of being dropped.
     retries: VecDeque<(RingIdx, Bytes, Service)>,
@@ -273,11 +263,6 @@ impl Io {
     /// The session table and socket.
     pub fn mux(&mut self) -> &mut SessionMux {
         &mut self.mux
-    }
-
-    /// Ring 0's transport probe, the daemon-level counter sink.
-    pub fn probe(&self) -> &TransportProbe {
-        &self.probe
     }
 
     /// Carries out engine outputs: submissions go to their ring (queued
@@ -431,7 +416,6 @@ impl<E: DaemonEngine> Reactor<E> {
         let pump = Pump {
             engine,
             io: Io {
-                probe: probes[0].clone(),
                 nodes,
                 mux,
                 retries: VecDeque::new(),
@@ -443,7 +427,6 @@ impl<E: DaemonEngine> Reactor<E> {
                 next_retry: None,
             },
             shared: shared.clone(),
-            reported: FrontendStats::default(),
         };
         let thread = std::thread::Builder::new()
             .name(format!("{thread}-{pid}"))
@@ -747,9 +730,6 @@ struct Pump<E: DaemonEngine> {
     engine: E,
     io: Io,
     shared: Arc<SharedStats>,
-    /// Frontend counters as of the last export, for delta-mirroring the
-    /// shed counts into the transport probe.
-    reported: FrontendStats,
 }
 
 impl<E: DaemonEngine> Pump<E> {
@@ -909,38 +889,12 @@ impl<E: DaemonEngine> Pump<E> {
         None
     }
 
-    /// Publishes the engine and frontend counters, mirroring shed deltas
-    /// into the transport probe so chaos/leak tooling watching
-    /// [`TransportStats`] sees the frontend's drops too.
+    /// Publishes the engine and frontend counters.
     fn export_stats(&mut self) {
         self.shared
             .duplicates_dropped
             .store(self.engine.duplicates_dropped(), Ordering::Relaxed);
-        let now = self.io.mux.stats();
-        let last = self.reported;
-        let probe = &self.io.probe;
-        let mirror = |cause, now: u64, last: u64| {
-            if now > last {
-                probe.note_events_shed(cause, now - last);
-            }
-        };
-        mirror(
-            ShedCause::SlowSession,
-            now.shed_slow_session,
-            last.shed_slow_session,
-        );
-        mirror(
-            ShedCause::GlobalBudget,
-            now.shed_global_budget,
-            last.shed_global_budget,
-        );
-        mirror(
-            ShedCause::DisconnectRace,
-            now.shed_disconnect_race,
-            last.shed_disconnect_race,
-        );
-        self.reported = now;
-        *self.shared.frontend.lock().expect("frontend stats lock") = now;
+        *self.shared.frontend.lock().expect("frontend stats lock") = self.io.mux.stats();
     }
 
     fn finish(mut self, exit: Exit) {
@@ -994,18 +948,6 @@ impl GroupDaemon {
     /// default options.
     pub fn start(node: NodeHandle) -> GroupDaemon {
         GroupDaemon::start_with(node, DaemonOptions::default())
-    }
-
-    /// Starts the group layer with explicit packing/fragmentation options
-    /// and an unbounded client queue.
-    pub fn start_with_options(node: NodeHandle, options: EngineOptions) -> GroupDaemon {
-        GroupDaemon::start_with(
-            node,
-            DaemonOptions {
-                engine: options,
-                ..DaemonOptions::default()
-            },
-        )
     }
 
     /// Starts the group layer with full runtime options.
@@ -1063,9 +1005,6 @@ impl GroupDaemon {
         let fs = self.reactor.frontend_stats();
         DaemonStats {
             events_shed: fs.events_shed(),
-            events_shed_slow: fs.shed_slow_session,
-            events_shed_budget: fs.shed_global_budget,
-            events_shed_race: fs.shed_disconnect_race,
             duplicates_dropped: self.reactor.duplicates_dropped(),
         }
     }

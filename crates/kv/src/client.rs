@@ -1,5 +1,4 @@
-//! The KV client: ordered writes over a
-//! [`SessionClient`](accelring_daemon::SessionClient) session, local
+//! The KV client: ordered writes over a [`SessionClient`] session, local
 //! reads over [`SessionFrame::SvcQuery`] — with exactly-once write
 //! semantics and three read-consistency modes.
 //!

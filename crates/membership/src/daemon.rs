@@ -448,14 +448,23 @@ impl MembershipDaemon {
             }
             (StateKind::Gather, TimerKind::Consensus) => {
                 self.consensus_timeout_fired = true;
-                let silent: Vec<ParticipantId> = self
+                // Totem's rule: every member whose latest join does not
+                // match our own sets has failed to reach consensus, be it
+                // silent or stuck on a stale join (a member that stopped
+                // mid-formation leaves one behind that never agrees).
+                let disagreeing: Vec<ParticipantId> = self
                     .my_proc
                     .iter()
                     .copied()
-                    .filter(|p| !self.my_fail.contains(p) && !self.joins.contains_key(p))
+                    .filter(|p| *p != self.pid && !self.my_fail.contains(p))
+                    .filter(|p| {
+                        self.joins
+                            .get(p)
+                            .is_none_or(|(ps, fs)| *ps != self.my_proc || *fs != self.my_fail)
+                    })
                     .collect();
-                if !silent.is_empty() {
-                    self.my_fail.extend(silent);
+                if !disagreeing.is_empty() {
+                    self.my_fail.extend(disagreeing);
                     self.broadcast_join(out);
                 }
                 self.timers

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use accelring_core::{Delivery, ParticipantId, PerRingStats, RingIdx, Service};
+use accelring_core::{Delivery, ParticipantId, RingIdx, Service};
 use accelring_daemon::packing::{self, MapMsg, MigMsg, MigOp};
 use accelring_daemon::proto::decode_group_message;
 #[cfg(test)]
@@ -113,7 +113,6 @@ pub struct MultiRingEngine {
     /// consumed by the Start of the same migration direction.
     pending_ready: BTreeMap<(String, u16, u16), BTreeSet<u16>>,
     counters: MigrationCounters,
-    stats: PerRingStats,
     /// Shard-map epochs adopted from ordered announcements (strictly
     /// newer than the local map at delivery time).
     maps_adopted: u64,
@@ -149,7 +148,6 @@ impl MultiRingEngine {
             migrations: BTreeMap::new(),
             pending_ready: BTreeMap::new(),
             counters: MigrationCounters::default(),
-            stats: PerRingStats::new(rings as usize),
             maps_adopted: 0,
             maps_announced: 0,
         }
@@ -172,17 +170,6 @@ impl MultiRingEngine {
     /// The ring that orders `group` under the current shard map.
     pub fn ring_of(&self, group: &str) -> RingIdx {
         self.shards.ring_of(group)
-    }
-
-    /// Per-ring delivery/submission counters, maintained from the
-    /// streams this engine has processed.
-    pub fn stats(&self) -> &PerRingStats {
-        &self.stats
-    }
-
-    /// Read access to one ring's engine (tests, reports).
-    pub fn ring_engine(&self, ring: RingIdx) -> &GroupEngine {
-        &self.engines[ring.as_usize()]
     }
 
     /// Rings whose lagging watermark currently blocks the merged stream;
@@ -374,7 +361,6 @@ impl MultiRingEngine {
             to: to.as_u16(),
             sender: self.pid().as_u16(),
         });
-        self.stats.ring_mut(ring).submitted += 1;
         vec![MultiOutput::Submit {
             ring,
             payload,
@@ -413,18 +399,15 @@ impl MultiRingEngine {
         }
     }
 
-    fn submits(&mut self, ring: RingIdx, outputs: Vec<EngineOutput>) -> Vec<MultiOutput> {
+    fn submits(ring: RingIdx, outputs: Vec<EngineOutput>) -> Vec<MultiOutput> {
         outputs
             .into_iter()
             .map(|out| match out {
-                EngineOutput::Submit { payload, service } => {
-                    self.stats.ring_mut(ring).submitted += 1;
-                    MultiOutput::Submit {
-                        ring,
-                        payload,
-                        service,
-                    }
-                }
+                EngineOutput::Submit { payload, service } => MultiOutput::Submit {
+                    ring,
+                    payload,
+                    service,
+                },
                 // Client operations only ever produce submissions; local
                 // events flow exclusively from deliveries, which keeps
                 // every client-visible event inside the merged order.
@@ -463,7 +446,7 @@ impl MultiRingEngine {
         let mut out = Vec::new();
         for ring in 0..self.engines.len() {
             let outputs = self.engines[ring].client_disconnect(name)?;
-            out.extend(self.submits(RingIdx::new(ring as u16), outputs));
+            out.extend(Self::submits(RingIdx::new(ring as u16), outputs));
         }
         self.local_joins.remove(name);
         Ok(out)
@@ -486,7 +469,7 @@ impl MultiRingEngine {
             .entry(name.to_string())
             .or_default()
             .insert(group.to_string());
-        Ok(self.submits(ring, outputs))
+        Ok(Self::submits(ring, outputs))
     }
 
     /// The named client leaves `group`.
@@ -504,7 +487,7 @@ impl MultiRingEngine {
         if let Some(joined) = self.local_joins.get_mut(name) {
             joined.remove(group);
         }
-        Ok(self.submits(ring, outputs))
+        Ok(Self::submits(ring, outputs))
     }
 
     /// Multicasts `payload` to one or more groups. All target groups
@@ -571,7 +554,7 @@ impl MultiRingEngine {
         }
         let outputs = self.engines[ring.as_usize()]
             .client_multicast_sequenced(name, groups, payload, service, seq)?;
-        Ok(self.submits(ring, outputs))
+        Ok(Self::submits(ring, outputs))
     }
 
     /// Multicasts `payload` to groups that may span rings by splitting
@@ -633,7 +616,7 @@ impl MultiRingEngine {
         let mut out = Vec::new();
         for ring in 0..self.engines.len() {
             let outputs = self.engines[ring].flush();
-            out.extend(self.submits(RingIdx::new(ring as u16), outputs));
+            out.extend(Self::submits(RingIdx::new(ring as u16), outputs));
         }
         out
     }
@@ -652,12 +635,6 @@ impl MultiRingEngine {
     /// undecodable payloads — advances the ring's merge watermark, so
     /// idle-ring ticks unblock the other rings' streams by construction.
     pub fn on_delivery(&mut self, ring: RingIdx, delivery: &Delivery) -> Vec<MultiOutput> {
-        let stats = self.stats.ring_mut(ring);
-        if delivery.service.requires_stability() {
-            stats.delivered_safe += 1;
-        } else {
-            stats.delivered_agreed += 1;
-        }
         if let Some(tick) = packing::decode_tick(&delivery.payload) {
             // Skip ticks carry the highest configuration counter seen
             // across rings: aligning this ring's clock to that epoch
@@ -1014,7 +991,7 @@ impl MultiRingEngine {
         let mut out = Vec::new();
         for client in clients {
             if let Ok(outputs) = self.engines[ring.as_usize()].client_join(&client, group) {
-                out.extend(self.submits(ring, outputs));
+                out.extend(Self::submits(ring, outputs));
             }
         }
         out
@@ -1036,7 +1013,7 @@ impl MultiRingEngine {
         let mut out = Vec::new();
         for client in stale {
             if let Ok(outputs) = self.engines[ring.as_usize()].client_leave(&client, group) {
-                out.extend(self.submits(ring, outputs));
+                out.extend(Self::submits(ring, outputs));
             }
         }
         out
@@ -1069,7 +1046,7 @@ impl MultiRingEngine {
         let (resubmits, locals): (Vec<_>, Vec<_>) = outputs
             .into_iter()
             .partition(|o| matches!(o, EngineOutput::Submit { .. }));
-        let mut out = self.submits(ring, resubmits);
+        let mut out = Self::submits(ring, resubmits);
         let released = if change.transitional {
             self.merger.push_now(ring, locals)
         } else {
@@ -1089,7 +1066,6 @@ impl MultiRingEngine {
             // stream it rejoined — catch-up needs no side channel.
             self.maps_announced += 1;
             let payload = packing::map_payload(&self.map_msg());
-            self.stats.ring_mut(ring).submitted += 1;
             out.push(MultiOutput::Submit {
                 ring,
                 payload,
@@ -1164,7 +1140,7 @@ impl MultiRingEngine {
             .collect();
         for (client, group, ring) in replays {
             if let Ok(outputs) = self.engines[ring.as_usize()].client_join(&client, &group) {
-                out.extend(self.submits(ring, outputs));
+                out.extend(Self::submits(ring, outputs));
             }
         }
         out.extend(self.flush_held(orphaned));
@@ -1245,8 +1221,6 @@ mod tests {
         assert_eq!(submit_payloads(&out)[0].0, LEFT_RING);
         let out = e.client_join("c0", "right").unwrap();
         assert_eq!(submit_payloads(&out)[0].0, RIGHT_RING);
-        assert_eq!(e.stats().ring(LEFT_RING).submitted, 1);
-        assert_eq!(e.stats().ring(RIGHT_RING).submitted, 1);
     }
 
     #[test]

@@ -53,7 +53,6 @@ use accelring_transport::{NodeHandle, TransportProbe, TransportStats};
 use bytes::Bytes;
 
 use crate::engine::{MultiOutput, MultiRingEngine, MultiRingError};
-use crate::migrate::MigrationCounters;
 use crate::recovery::{decode_snapshot, encode_snapshot, RecoverySnapshot, RingSeqs};
 use crate::shard::ShardMap;
 
@@ -66,8 +65,7 @@ const CATCHUP_DEADLINE: Duration = Duration::from_secs(5);
 /// Replicated application state mounted on a daemon — the hook through
 /// which the daemon serves local-service queries ([`SessionFrame::SvcQuery`])
 /// outside the ordered path and piggybacks application snapshots on the
-/// recovery pull path (the `app` section of
-/// [`RecoverySnapshot`](crate::recovery::RecoverySnapshot)). The
+/// recovery pull path (the `app` section of [`RecoverySnapshot`]). The
 /// replicated KV store mounts its machine here; the multi-ring layer
 /// carries every body blind — the application owns its codecs.
 pub trait AppState: Send + Sync {
@@ -108,7 +106,7 @@ pub struct MultiRingOptions {
     /// session socket is open) the daemon starts *gated*: HELLO frames
     /// are silently dropped — the client's retry loop covers the window
     /// — until a peer's `MAP_PUSH` snapshot is applied or
-    /// [`CATCHUP_DEADLINE`] elapses.
+    /// `CATCHUP_DEADLINE` elapses.
     pub recovery_peers: Vec<SocketAddr>,
     /// Per-ring dedup watermarks to seed the engine with at startup —
     /// the in-process fast path for a supervisor that captured
@@ -154,9 +152,10 @@ impl Default for MultiRingOptions {
     }
 }
 
-/// A point-in-time probe of a daemon's recovery-relevant state, read
-/// through [`MultiRingDaemon::inspect`]. This is what rejoin benches
-/// and chaos checkers poll to decide "has this daemon converged?".
+/// A point-in-time probe of a daemon's recovery-relevant state and its
+/// migration and recovery counters, read through
+/// [`MultiRingDaemon::inspect`]. This is what rejoin benches and chaos
+/// checkers poll to decide "has this daemon converged?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonInspect {
     /// The engine's shard-map version.
@@ -167,6 +166,31 @@ pub struct DaemonInspect {
     pub max_epoch: u64,
     /// Whether the serving gate is still closed waiting for catch-up.
     pub catching_up: bool,
+    /// Group migrations whose fence this daemon observed start.
+    pub migrations_started: u64,
+    /// Migrations that committed their handoff (group now on the target).
+    pub migrations_committed: u64,
+    /// Migrations that aborted (target unreachable, ring death, timeout).
+    pub migrations_aborted: u64,
+    /// Client submissions caught behind a migration fence and redirected
+    /// (held, then resubmitted to the group's post-fence ring).
+    pub submissions_redirected: u64,
+    /// Total nanoseconds groups spent frozen behind migration fences
+    /// (from fence start to commit/abort, summed over migrations this
+    /// daemon observed).
+    pub fence_wait_ns: u64,
+    /// MAP_PULL requests this daemon sent while catching up after a
+    /// (re)start.
+    pub recovery_pulls_sent: u64,
+    /// MAP_PUSH snapshots this daemon served to catching-up peers.
+    pub recovery_pushes_served: u64,
+    /// Peer snapshots applied (map adopted and dedup watermarks seeded).
+    pub recovery_snapshots_applied: u64,
+    /// Shard-map epochs adopted from the rings' ordered announcements.
+    pub recovery_maps_adopted: u64,
+    /// Total nanoseconds spent gated (not serving sessions) between
+    /// (re)start and catch-up completion.
+    pub recovery_catchup_wait_ns: u64,
 }
 
 /// A running multi-ring daemon: one transport node per ring plus the
@@ -267,7 +291,7 @@ impl MultiRingDaemon {
     /// ring; the handoff itself completes (or aborts, after
     /// [`MultiRingOptions::migration_timeout`]) asynchronously through
     /// the ordered streams. Progress is visible in the migration
-    /// counters of [`MultiRingDaemon::transport_stats`].
+    /// counters of [`MultiRingDaemon::inspect`].
     ///
     /// # Errors
     ///
@@ -299,13 +323,27 @@ impl MultiRingDaemon {
     }
 
     /// A probe of the daemon's recovery state (shard-map version, merge
-    /// cursor, epoch, serving gate), or `None` when it already stopped.
+    /// cursor, epoch, serving gate) and its migration and recovery
+    /// counters, or `None` when it already stopped.
     pub fn inspect(&self) -> Option<DaemonInspect> {
-        self.reactor.call(|side, _| DaemonInspect {
-            map_version: side.engine.shards().version(),
-            merge_cursor: side.engine.merge_cursor(),
-            max_epoch: side.max_epoch,
-            catching_up: side.catchup.is_some(),
+        self.reactor.call(|side, _| {
+            let migrations = side.engine.migration_counters();
+            DaemonInspect {
+                map_version: side.engine.shards().version(),
+                merge_cursor: side.engine.merge_cursor(),
+                max_epoch: side.max_epoch,
+                catching_up: side.catchup.is_some(),
+                migrations_started: migrations.started,
+                migrations_committed: migrations.committed,
+                migrations_aborted: migrations.aborted,
+                submissions_redirected: migrations.redirected,
+                fence_wait_ns: side.fence_wait_ns,
+                recovery_pulls_sent: side.pulls_sent,
+                recovery_pushes_served: side.pushes_served,
+                recovery_snapshots_applied: side.snapshots_applied,
+                recovery_maps_adopted: side.engine.maps_adopted(),
+                recovery_catchup_wait_ns: side.catchup_wait_ns,
+            }
         })
     }
 
@@ -359,10 +397,16 @@ pub struct MultiRingSide {
     /// idleness clock pacing this daemon's skip ticks.
     last_delivery: Vec<Instant>,
     watches: HashMap<String, MigrationWatch>,
-    /// Engine counters already reported onto the probe.
-    reported: MigrationCounters,
-    /// Engine map adoptions already reported onto the probe.
-    reported_maps_adopted: u64,
+    /// Nanoseconds groups spent frozen behind migration fences.
+    fence_wait_ns: u64,
+    /// MAP_PULL requests sent while catching up.
+    pulls_sent: u64,
+    /// MAP_PUSH snapshots served to catching-up peers.
+    pushes_served: u64,
+    /// Peer snapshots applied during catch-up.
+    snapshots_applied: u64,
+    /// Nanoseconds spent gated between (re)start and catch-up.
+    catchup_wait_ns: u64,
     /// `Some` while the serving gate is closed waiting for catch-up.
     catchup: Option<Catchup>,
     /// Application state mounted on this daemon (serves SVC_QUERY
@@ -417,15 +461,17 @@ impl MultiRingSide {
             hint_outstanding: vec![false; rings],
             last_delivery: vec![now; rings],
             watches: HashMap::new(),
-            reported: MigrationCounters::default(),
-            reported_maps_adopted: 0,
+            fence_wait_ns: 0,
+            pulls_sent: 0,
+            pushes_served: 0,
+            snapshots_applied: 0,
+            catchup_wait_ns: 0,
             catchup,
             app: options.app_state,
         }
     }
 
-    /// Drives migration timeouts and mirrors the engine's lifecycle
-    /// counters onto the transport probe.
+    /// Drives migration timeouts and accounts fence wait.
     fn service_migrations(&mut self, io: &mut Io) {
         let inflight: BTreeSet<String> = self
             .engine
@@ -434,10 +480,11 @@ impl MultiRingSide {
             .map(|(g, _, _)| g)
             .collect();
         // Decisions that landed: record the fence wait, drop the watch.
+        let fence_wait_ns = &mut self.fence_wait_ns;
         self.watches.retain(|g, w| {
             let live = inflight.contains(g);
             if !live {
-                io.probe().note_fence_wait(w.started.elapsed());
+                *fence_wait_ns += w.started.elapsed().as_nanos() as u64;
             }
             live
         });
@@ -464,22 +511,6 @@ impl MultiRingSide {
                 w.next_abort = Some(Instant::now() + w.backoff.next_delay());
             }
         }
-        let c = self.engine.migration_counters();
-        let d = self.reported;
-        let probe = io.probe();
-        if c.started > d.started {
-            probe.note_migrations_started(c.started - d.started);
-        }
-        if c.committed > d.committed {
-            probe.note_migrations_committed(c.committed - d.committed);
-        }
-        if c.aborted > d.aborted {
-            probe.note_migrations_aborted(c.aborted - d.aborted);
-        }
-        if c.redirected > d.redirected {
-            probe.note_submissions_redirected(c.redirected - d.redirected);
-        }
-        self.reported = c;
     }
 
     /// Drives the catch-up gate: re-sends MAP_PULLs under backoff and
@@ -491,7 +522,7 @@ impl MultiRingSide {
         };
         let now = Instant::now();
         if now >= c.deadline {
-            io.probe().note_recovery_catchup_wait(c.started.elapsed());
+            self.catchup_wait_ns += c.started.elapsed().as_nanos() as u64;
             self.catchup = None;
             return;
         }
@@ -509,7 +540,7 @@ impl MultiRingSide {
         for addr in &c.peers {
             io.mux().send_session_frame(&frame, *addr);
         }
-        io.probe().note_recovery_pulls_sent(c.peers.len() as u64);
+        self.pulls_sent += c.peers.len() as u64;
     }
 
     /// Skip ticks, the Multi-Ring Paxos coordinator-skip rule, and
@@ -550,7 +581,7 @@ impl MultiRingSide {
     /// trustworthy state: a daemon that is itself gated, or whose view
     /// is behind what the requester already observed, stays silent and
     /// lets a fresher peer (or the requester's own deadline) answer.
-    fn serve_pull(&self, nonce: u64, want_epoch: u64, addr: SocketAddr, io: &mut Io) {
+    fn serve_pull(&mut self, nonce: u64, want_epoch: u64, addr: SocketAddr, io: &mut Io) {
         if self.catchup.is_some() || self.max_epoch < want_epoch {
             return;
         }
@@ -569,14 +600,14 @@ impl MultiRingSide {
             body: encode_snapshot(&snap),
         };
         io.mux().send_session_frame(&frame, addr);
-        io.probe().note_recovery_pushes_served(1);
+        self.pushes_served += 1;
     }
 
     /// Applies a pushed snapshot. Only a gated daemon consumes pushes,
     /// and only for the pull nonce it stamped this incarnation; late or
     /// unsolicited pushes are ignored. A malformed body degrades to the
     /// next backoff pull — a misbehaving peer cannot wedge recovery.
-    fn apply_push(&mut self, nonce: u64, body: Bytes, io: &mut Io) {
+    fn apply_push(&mut self, nonce: u64, body: Bytes) {
         if self.catchup.as_ref().is_none_or(|c| c.nonce != nonce) {
             return;
         }
@@ -594,9 +625,9 @@ impl MultiRingSide {
             }
         }
         self.max_epoch = self.max_epoch.max(snap.epoch);
-        io.probe().note_recovery_snapshots_applied(1);
+        self.snapshots_applied += 1;
         if let Some(c) = self.catchup.take() {
-            io.probe().note_recovery_catchup_wait(c.started.elapsed());
+            self.catchup_wait_ns += c.started.elapsed().as_nanos() as u64;
         }
     }
 }
@@ -688,7 +719,7 @@ impl DaemonEngine for MultiRingSide {
                 want_epoch,
                 addr,
             } => self.serve_pull(nonce, want_epoch, addr, io),
-            Ingress::MapPush { nonce, body, .. } => self.apply_push(nonce, body, io),
+            Ingress::MapPush { nonce, body, .. } => self.apply_push(nonce, body),
             // Answered outside the ordered path — but never from behind
             // the serving gate: a catching-up daemon's application state
             // is as stale as its shard map.
@@ -705,15 +736,6 @@ impl DaemonEngine for MultiRingSide {
     fn turn(&mut self, io: &mut Io) {
         self.service_migrations(io);
         self.service_catchup(io);
-        // Mirror the shard-map adoption count onto the probe so
-        // chaos/bench tooling watching [`TransportStats`] sees gossip
-        // heal.
-        let adopted = self.engine.maps_adopted();
-        if adopted > self.reported_maps_adopted {
-            io.probe()
-                .note_recovery_maps_adopted(adopted - self.reported_maps_adopted);
-            self.reported_maps_adopted = adopted;
-        }
         self.order_ticks(io);
     }
 

@@ -101,11 +101,11 @@ fn await_counter(
     cluster: &ChurnCluster,
     d: u16,
     deadline: Duration,
-    pick: impl Fn(&accelring_transport::TransportStats) -> u64,
+    pick: impl Fn(&accelring_multiring::DaemonInspect) -> u64,
 ) -> u64 {
     let start = Instant::now();
     while start.elapsed() < deadline {
-        let n = pick(&cluster.daemon(d).transport_stats()[0]);
+        let n = pick(&cluster.daemon(d).inspect().expect("daemon up"));
         if n > 0 {
             return n;
         }
@@ -247,7 +247,7 @@ fn partitioned_target_ring_aborts_migration_and_source_keeps_serving() {
         s.migrations_aborted
     });
     assert!(aborted >= 1, "seed {seed}: the migration never aborted");
-    let stats = cluster.daemon(0).transport_stats()[0];
+    let stats = cluster.daemon(0).inspect().expect("daemon up");
     assert_eq!(
         stats.migrations_committed, 0,
         "seed {seed}: a doomed migration committed"

@@ -202,7 +202,7 @@ fn restart_storm_keeps_the_merged_order_gap_free_and_exactly_once() {
             );
             std::thread::sleep(Duration::from_millis(50));
         }
-        let stats = cluster.daemon(*d).transport_stats()[0];
+        let stats = cluster.daemon(*d).inspect().expect("daemon up");
         assert!(
             stats.recovery_pulls_sent >= 1,
             "seed {seed}: daemon {d} rejoined without pulling catch-up state"
@@ -260,7 +260,13 @@ fn restart_storm_recovery_invariants_hold_after_map_churn() {
         .migrate("hot", RingIdx::new(1))
         .expect("migrate accepted");
     let commit_deadline = Instant::now() + Duration::from_secs(20);
-    while cluster.daemon(0).transport_stats()[0].migrations_committed < 1 {
+    while cluster
+        .daemon(0)
+        .inspect()
+        .expect("daemon up")
+        .migrations_committed
+        < 1
+    {
         assert!(
             Instant::now() < commit_deadline,
             "seed {seed}: migration never committed"
@@ -317,7 +323,7 @@ fn restart_storm_recovery_invariants_hold_after_map_churn() {
     // And the wire path engaged: both rejoiners applied a snapshot from
     // the surviving daemon.
     for d in [1u16, 2] {
-        let stats = cluster.daemon(d).transport_stats()[0];
+        let stats = cluster.daemon(d).inspect().expect("daemon up");
         assert!(
             stats.recovery_snapshots_applied >= 1,
             "seed {seed}: daemon {d} never applied a catch-up snapshot"

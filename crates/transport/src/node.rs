@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accelring_core::{
-    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, PoolStats, ProtocolConfig,
-    RingId, Seq, Service, ShedCause, ShmPathStats, Token,
+    wire, BufLease, BufferPool, Delivery, HotPathStats, ParticipantId, ProtocolConfig, RingId, Seq,
+    Service, ShmPathStats, Token,
 };
 use accelring_membership::{
     decode_control, encode_control, ConfigChange, Input, MembershipConfig, MembershipDaemon,
@@ -105,19 +105,6 @@ struct StatsInner {
     submissions: AtomicU64,
     submissions_shed: AtomicU64,
     thread_panics: AtomicU64,
-    migrations_started: AtomicU64,
-    migrations_committed: AtomicU64,
-    migrations_aborted: AtomicU64,
-    submissions_redirected: AtomicU64,
-    fence_wait_ns: AtomicU64,
-    events_shed_slow: AtomicU64,
-    events_shed_budget: AtomicU64,
-    events_shed_race: AtomicU64,
-    recovery_pulls_sent: AtomicU64,
-    recovery_pushes_served: AtomicU64,
-    recovery_snapshots_applied: AtomicU64,
-    recovery_maps_adopted: AtomicU64,
-    recovery_catchup_wait_ns: AtomicU64,
 }
 
 /// A point-in-time copy of a node's transport counters.
@@ -139,42 +126,6 @@ pub struct TransportStats {
     /// Protocol-thread panics caught at the thread boundary (each one is
     /// terminal for the node and accompanied by an [`AppEvent::Fault`]).
     pub thread_panics: u64,
-    /// Group migrations whose fence this daemon observed start.
-    pub migrations_started: u64,
-    /// Migrations that committed their handoff (group now on the target).
-    pub migrations_committed: u64,
-    /// Migrations that aborted (target unreachable, ring death, timeout).
-    pub migrations_aborted: u64,
-    /// Client submissions caught behind a migration fence and redirected
-    /// (held, then resubmitted to the group's post-fence ring).
-    pub submissions_redirected: u64,
-    /// Total nanoseconds groups spent frozen behind migration fences
-    /// (from fence start to commit/abort, summed over migrations this
-    /// daemon observed).
-    pub fence_wait_ns: u64,
-    /// Client-bound events shed because one session's egress queue was
-    /// full (the session frontend attributes these; the transport only
-    /// owns the counter fabric).
-    pub events_shed_slow: u64,
-    /// Client-bound events shed because the frontend-wide queued-event
-    /// budget was exhausted.
-    pub events_shed_budget: u64,
-    /// Client-bound events shed because the session closed while the
-    /// event was in flight (disconnect race).
-    pub events_shed_race: u64,
-    /// Anti-entropy MAP_PULL requests this daemon sent while catching up
-    /// after a (re)start (the multi-ring recovery path owns these, like
-    /// the migration counters).
-    pub recovery_pulls_sent: u64,
-    /// MAP_PUSH snapshots this daemon served to catching-up peers.
-    pub recovery_pushes_served: u64,
-    /// Peer snapshots applied (map adopted and dedup watermarks seeded).
-    pub recovery_snapshots_applied: u64,
-    /// Shard-map epochs adopted from the rings' ordered announcements.
-    pub recovery_maps_adopted: u64,
-    /// Total nanoseconds spent gated (not serving sessions) between
-    /// (re)start and catch-up completion.
-    pub recovery_catchup_wait_ns: u64,
     /// Hot-datapath counters: syscall batching and pool behaviour.
     pub hot: HotPathStats,
     /// Shared-memory datapath counters (all zero on a UDP node).
@@ -192,19 +143,6 @@ impl StatsInner {
             submissions: self.submissions.load(Ordering::Relaxed),
             submissions_shed: self.submissions_shed.load(Ordering::Relaxed),
             thread_panics: self.thread_panics.load(Ordering::Relaxed),
-            migrations_started: self.migrations_started.load(Ordering::Relaxed),
-            migrations_committed: self.migrations_committed.load(Ordering::Relaxed),
-            migrations_aborted: self.migrations_aborted.load(Ordering::Relaxed),
-            submissions_redirected: self.submissions_redirected.load(Ordering::Relaxed),
-            fence_wait_ns: self.fence_wait_ns.load(Ordering::Relaxed),
-            events_shed_slow: self.events_shed_slow.load(Ordering::Relaxed),
-            events_shed_budget: self.events_shed_budget.load(Ordering::Relaxed),
-            events_shed_race: self.events_shed_race.load(Ordering::Relaxed),
-            recovery_pulls_sent: self.recovery_pulls_sent.load(Ordering::Relaxed),
-            recovery_pushes_served: self.recovery_pushes_served.load(Ordering::Relaxed),
-            recovery_snapshots_applied: self.recovery_snapshots_applied.load(Ordering::Relaxed),
-            recovery_maps_adopted: self.recovery_maps_adopted.load(Ordering::Relaxed),
-            recovery_catchup_wait_ns: self.recovery_catchup_wait_ns.load(Ordering::Relaxed),
             hot: HotPathStats {
                 datagrams_rx,
                 datagrams_tx: self.datagrams_tx.load(Ordering::Relaxed),
@@ -705,100 +643,11 @@ impl TransportProbe {
         s
     }
 
-    /// Counters of the receive-side and send-side buffer pools.
-    pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
-        (self.recv_pool.stats(), self.send_pool.stats())
-    }
-
     /// Pooled buffers still leased out across both pools. After the node
     /// has shut down and every delivery has been dropped, a nonzero value
     /// is a leak.
     pub fn pool_outstanding(&self) -> u64 {
         self.recv_pool.outstanding() + self.send_pool.outstanding()
-    }
-
-    /// Records migration fences observed starting (the multi-ring daemon
-    /// calls these — the transport itself has no migration knowledge, it
-    /// just owns the counter fabric every probe reader already polls).
-    pub fn note_migrations_started(&self, n: u64) {
-        self.stats
-            .migrations_started
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records migrations that committed their handoff.
-    pub fn note_migrations_committed(&self, n: u64) {
-        self.stats
-            .migrations_committed
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records migrations that aborted.
-    pub fn note_migrations_aborted(&self, n: u64) {
-        self.stats
-            .migrations_aborted
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records client submissions redirected around a migration fence.
-    pub fn note_submissions_redirected(&self, n: u64) {
-        self.stats
-            .submissions_redirected
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accumulates time a group spent frozen behind a migration fence.
-    pub fn note_fence_wait(&self, wait: std::time::Duration) {
-        self.stats
-            .fence_wait_ns
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records anti-entropy MAP_PULL requests sent while catching up.
-    pub fn note_recovery_pulls_sent(&self, n: u64) {
-        self.stats
-            .recovery_pulls_sent
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records MAP_PUSH snapshots served to catching-up peers.
-    pub fn note_recovery_pushes_served(&self, n: u64) {
-        self.stats
-            .recovery_pushes_served
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records peer snapshots applied during catch-up.
-    pub fn note_recovery_snapshots_applied(&self, n: u64) {
-        self.stats
-            .recovery_snapshots_applied
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records shard-map epochs adopted from ordered announcements.
-    pub fn note_recovery_maps_adopted(&self, n: u64) {
-        self.stats
-            .recovery_maps_adopted
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accumulates time spent gated between (re)start and catch-up.
-    pub fn note_recovery_catchup_wait(&self, wait: std::time::Duration) {
-        self.stats
-            .recovery_catchup_wait_ns
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records client-bound events the session frontend shed, attributed
-    /// to their cause (the frontend calls this the same way the
-    /// multi-ring daemon reports migrations).
-    pub fn note_events_shed(&self, cause: ShedCause, n: u64) {
-        let counter = match cause {
-            ShedCause::SlowSession => &self.stats.events_shed_slow,
-            ShedCause::GlobalBudget => &self.stats.events_shed_budget,
-            ShedCause::DisconnectRace => &self.stats.events_shed_race,
-        };
-        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -817,11 +666,6 @@ impl KillSwitch {
     pub fn kill(&self) {
         self.stop.store(true, Ordering::Relaxed);
         self.wake.control.notify();
-    }
-
-    /// Whether the kill was already requested.
-    pub fn is_killed(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
     }
 }
 
@@ -897,11 +741,6 @@ impl NodeHandle {
     /// included.
     pub fn stats(&self) -> TransportStats {
         self.probe().stats()
-    }
-
-    /// Counters of the receive-side and send-side buffer pools.
-    pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
-        (self.recv_pool.stats(), self.send_pool.stats())
     }
 
     /// The membership state the event loop last published.

@@ -6,7 +6,7 @@
 //! datagram wakes the loop the moment it lands instead of a fixed-quantum
 //! doze quantizing the whole pipeline. This type factors that wait into
 //! one place — the Linux path rides the hand-rolled `ppoll` FFI in
-//! [`crate::mmsg`]; every other platform degrades to a plain sleep, which
+//! `crate::mmsg`; every other platform degrades to a plain sleep, which
 //! callers must treat as "maybe ready" exactly like a `ppoll` timeout.
 
 use std::time::Duration;
