@@ -12,14 +12,16 @@
 //! start and end of the window, together with the datagrams the nodes
 //! sent. Linux only: elsewhere the CPU column reads 0.
 //!
-//! Then the price of idling: on an idle 3-daemon UDP ring, 300 single
+//! Then the price of idling: on an idle 3-daemon UDP ring, 600 single
 //! messages (alternately Agreed and Safe, submitted round-robin at each
-//! daemon, 3 ms apart) are timed from submit until every member has
-//! delivered them.
+//! daemon, 1–25 ms apart so they land at every phase of the leader's
+//! hold) are timed from submit until every member has delivered them,
+//! reported separately for submits at the ring leader and at the other
+//! members.
 
 use std::time::{Duration, Instant};
 
-use accelring_core::{ProtocolConfig, Service};
+use accelring_core::{ParticipantId, ProtocolConfig, Service};
 use accelring_membership::MembershipConfig;
 use accelring_transport::{spawn_local_multiring_on, AppEvent, NodeHandle, Transport};
 use bytes::Bytes;
@@ -111,9 +113,9 @@ fn main() {
 }
 
 /// Submit-to-delivered-everywhere latency of single messages on an idle
-/// 3-daemon UDP ring.
+/// 3-daemon UDP ring, by where they were submitted.
 fn idle_latency() {
-    const PROBES: u64 = 300;
+    const PROBES: u64 = 600;
     let ring = spawn_local_multiring_on(
         Transport::Udp,
         1,
@@ -124,16 +126,18 @@ fn idle_latency() {
     )
     .expect("spawn ring")
     .remove(0);
+    let leader = ring_leader(&ring[0]);
     std::thread::sleep(Duration::from_secs(1));
-    let mut latencies = Vec::new();
+    let (mut at_leader, mut at_member) = (Vec::new(), Vec::new());
     for k in 0..PROBES {
         let service = if k % 2 == 0 {
             Service::Agreed
         } else {
             Service::Safe
         };
+        let sender = &ring[(k % 3) as usize];
         let t0 = Instant::now();
-        ring[(k % 3) as usize]
+        sender
             .submit(Bytes::from(k.to_string()), service)
             .expect("submit");
         for node in &ring {
@@ -145,19 +149,61 @@ fn idle_latency() {
                 }
             }
         }
-        latencies.push(t0.elapsed());
-        std::thread::sleep(Duration::from_millis(3));
+        if sender.pid() == leader {
+            at_leader.push(t0.elapsed());
+        } else {
+            at_member.push(t0.elapsed());
+        }
+        // A fixed stride through 1..=25 ms, so the probes sample every
+        // phase of the hold the ring settles into between them.
+        std::thread::sleep(Duration::from_millis(1 + k * 7 % 25));
     }
-    latencies.sort();
-    let at = |q: usize| latencies[(latencies.len() - 1) * q / 100];
+    let hot = |f: fn(&accelring_core::HotPathStats) -> u64| -> u64 {
+        ring.iter().map(|h| f(&h.stats().hot)).sum()
+    };
     println!(
-        "idle 3-daemon UDP ring, {PROBES} single messages, submit to delivered everywhere: \
-         p50 {:?}, p99 {:?}, max {:?}",
-        at(50),
-        at(99),
-        at(100)
+        "idle 3-daemon UDP ring, {PROBES} single messages 1-25 ms apart, \
+         submit to delivered everywhere:"
+    );
+    for (role, latencies) in [("leader", &mut at_leader), ("member", &mut at_member)] {
+        latencies.sort();
+        let at = |q: usize| latencies[(latencies.len() - 1) * q / 100];
+        println!(
+            "  submitted at the {role} ({}): p50 {:?}, p90 {:?}, p99 {:?}, max {:?}, \
+             over 5 ms: {}",
+            latencies.len(),
+            at(50),
+            at(90),
+            at(99),
+            at(100),
+            latencies
+                .iter()
+                .filter(|l| **l > Duration::from_millis(5))
+                .count()
+        );
+    }
+    println!(
+        "  token requests sent {}, holds released by request {}",
+        hot(|h| h.token_requests_sent),
+        hot(|h| h.holds_released_by_request)
     );
     for node in ring {
         node.shutdown();
+    }
+}
+
+/// The leader (position 0) of the first full configuration `node`
+/// installs.
+fn ring_leader(node: &NodeHandle) -> ParticipantId {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match node.events().recv_timeout(left) {
+            Ok(AppEvent::Config(c)) if !c.transitional && c.members.len() == 3 => {
+                return c.members[0];
+            }
+            Ok(_) => {}
+            Err(_) => panic!("the ring did not form within 10 s"),
+        }
     }
 }

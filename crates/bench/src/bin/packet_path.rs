@@ -17,7 +17,10 @@
 //! hit rate per path (plus ring/doorbell counters for the shm path),
 //! prints the speedups, and writes the whole run as
 //! `BENCH_packet_path.json`. Exits non-zero if any path saw wire
-//! decode errors or leaked pooled buffers — the CI smoke gate.
+//! decode errors or leaked pooled buffers, or if the batched UDP ring
+//! spent more than [`MAX_RX_SYSCALLS_PER_DATAGRAM`] receive syscalls
+//! per received datagram (empty re-polls of drained sockets) — the CI
+//! smoke gate.
 //! Honors `ACCELRING_BENCH_QUALITY` (`quick`/`full`) for the default
 //! measurement window.
 
@@ -39,6 +42,14 @@ const PAYLOAD_LEN: usize = 1350;
 
 /// How long to wait for the ring to form before giving up.
 const FORM_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Gate on the batched UDP ring: receive syscalls (`recvmmsg` plus
+/// readiness probes) per received datagram. A loop that reads only
+/// readable sockets issues at most about one per datagram, since each
+/// `recvmmsg` then returns at least one; 9 runs of `--secs 2` on a
+/// 2-core x86-64 VM read 0.085–0.12 (8x margin). A loop that re-polls
+/// drained sockets read 10–17 there.
+const MAX_RX_SYSCALLS_PER_DATAGRAM: f64 = 1.0;
 
 struct Args {
     nodes: u16,
@@ -92,6 +103,9 @@ struct PathResult {
     elapsed_secs: f64,
     datagrams: u64,
     syscalls: u64,
+    /// Receive-side share of `datagrams` and `syscalls`.
+    datagrams_rx: u64,
+    syscalls_rx: u64,
     delivered: u64,
     decode_failures: u64,
     send_errors: u64,
@@ -117,6 +131,13 @@ impl PathResult {
         self.syscalls as f64 / self.datagrams as f64
     }
 
+    fn rx_syscalls_per_datagram(&self) -> f64 {
+        if self.datagrams_rx == 0 {
+            return 0.0;
+        }
+        self.syscalls_rx as f64 / self.datagrams_rx as f64
+    }
+
     fn avg_batch(&self) -> f64 {
         if self.syscalls == 0 {
             return 0.0;
@@ -136,6 +157,7 @@ impl PathResult {
         let mut out = format!(
             "{{\"datagrams\": {}, \"syscalls\": {}, \"elapsed_secs\": {:.3}, \
              \"datagrams_per_sec\": {:.1}, \"syscalls_per_datagram\": {:.4}, \
+             \"rx_syscalls_per_datagram\": {:.4}, \
              \"avg_batch\": {:.2}, \"delivered\": {}, \"decode_failures\": {}, \
              \"send_errors\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
              \"pool_hit_rate\": {:.4}, \"pool_outstanding\": {}, \
@@ -146,6 +168,7 @@ impl PathResult {
             self.elapsed_secs,
             self.datagrams_per_sec(),
             self.syscalls_per_datagram(),
+            self.rx_syscalls_per_datagram(),
             self.avg_batch(),
             self.delivered,
             self.decode_failures,
@@ -420,6 +443,8 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
 
     let mut datagrams = 0u64;
     let mut syscalls = 0u64;
+    let mut datagrams_rx = 0u64;
+    let mut syscalls_rx = 0u64;
     let mut decode_failures = 0u64;
     let mut send_errors = 0u64;
     let mut pool_hits = 0u64;
@@ -432,6 +457,8 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
             (b.hot.datagrams_rx - a.hot.datagrams_rx) + (b.hot.datagrams_tx - a.hot.datagrams_tx);
         syscalls +=
             (b.hot.syscalls_rx - a.hot.syscalls_rx) + (b.hot.syscalls_tx - a.hot.syscalls_tx);
+        datagrams_rx += b.hot.datagrams_rx - a.hot.datagrams_rx;
+        syscalls_rx += b.hot.syscalls_rx - a.hot.syscalls_rx;
         decode_failures += b.decode_failures - a.decode_failures;
         send_errors += b.send_errors - a.send_errors;
         pool_hits += b.hot.pool_hits - a.hot.pool_hits;
@@ -475,6 +502,8 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
         elapsed_secs: measure.as_secs_f64(),
         datagrams,
         syscalls,
+        datagrams_rx,
+        syscalls_rx,
         delivered: delivered_count,
         decode_failures,
         send_errors,
@@ -490,11 +519,12 @@ fn run_path(label: &'static str, args: &Args, transport: Transport) -> Result<Pa
 
 fn print_row(r: &PathResult) {
     println!(
-        "{:>13}  {:>12.0} dgrams/s  {:>7.4} syscalls/dgram  {:>6.2} avg batch  \
-         {:>9} delivered  {:>5.1}% pool hits  {:>5} token rexmt  {:>3} reforms",
+        "{:>13}  {:>12.0} dgrams/s  {:>7.4} syscalls/dgram  {:>7.4} rx syscalls/rx dgram  \
+         {:>6.2} avg batch  {:>9} delivered  {:>5.1}% pool hits  {:>5} token rexmt  {:>3} reforms",
         r.label,
         r.datagrams_per_sec(),
         r.syscalls_per_datagram(),
+        r.rx_syscalls_per_datagram(),
         r.avg_batch(),
         r.delivered,
         r.pool_hit_rate() * 100.0,
@@ -637,6 +667,16 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
+    // Empty re-polls: the batched ring reads a socket only while the
+    // poller reports it readable.
+    if new.rx_syscalls_per_datagram() > MAX_RX_SYSCALLS_PER_DATAGRAM {
+        eprintln!(
+            "packet_path: batched path issued {:.3} receive syscalls per received datagram \
+             (bound {MAX_RX_SYSCALLS_PER_DATAGRAM})",
+            new.rx_syscalls_per_datagram()
+        );
+        failed = true;
+    }
     // The shm packet path must be syscall-free: the link flood never
     // sleeps, so a single syscall means the ring fell back to the kernel.
     if link_shm.syscalls != 0 {
@@ -649,6 +689,9 @@ fn main() -> ExitCode {
     if failed {
         return ExitCode::FAILURE;
     }
-    println!("packet_path: clean (no decode errors, no pool leaks, syscall-free shm path)");
+    println!(
+        "packet_path: clean (no decode errors, no pool leaks, no empty re-poll storm, \
+         syscall-free shm path)"
+    );
     ExitCode::SUCCESS
 }

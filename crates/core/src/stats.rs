@@ -84,6 +84,12 @@ pub struct HotPathStats {
     pub pool_hits: u64,
     /// Buffer-pool acquisitions that had to allocate.
     pub pool_misses: u64,
+    /// Token requests this node sent to its ring leader: it had queued
+    /// work while the token was likely held idle (DESIGN.md §16).
+    pub token_requests_sent: u64,
+    /// Idle-token holds this node ended early, or did not start, because
+    /// a member asked for the token.
+    pub holds_released_by_request: u64,
 }
 
 impl HotPathStats {

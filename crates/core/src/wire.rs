@@ -27,6 +27,9 @@ pub enum Kind {
     Token = 2,
     /// An opaque higher-layer message (membership, client protocol).
     Opaque = 3,
+    /// A member's request that the ring leader stop holding an idle
+    /// token (handled by the live transport's event loop alone).
+    TokenRequest = 4,
 }
 
 /// Bytes of the common envelope: magic (4) + version (1) + kind (1).
@@ -134,6 +137,7 @@ pub fn decode_kind(buf: &mut impl Buf) -> Result<Kind, DecodeError> {
         1 => Ok(Kind::Data),
         2 => Ok(Kind::Token),
         3 => Ok(Kind::Opaque),
+        4 => Ok(Kind::TokenRequest),
         other => Err(DecodeError::BadKind(other)),
     }
 }
@@ -310,6 +314,23 @@ pub fn decode_token_body(buf: &mut Bytes) -> Result<Token, DecodeError> {
     })
 }
 
+/// Encodes a token request for `ring_id` (16 bytes: envelope and ring
+/// id) into any [`BufMut`] sink.
+pub fn encode_token_request_into(ring_id: RingId, buf: &mut impl BufMut) {
+    put_envelope(buf, Kind::TokenRequest);
+    put_ring_id(buf, ring_id);
+}
+
+/// Decodes a token request body (the ring it asks about) after the
+/// envelope has been consumed.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::Truncated`] if the ring id is cut short.
+pub fn decode_token_request_body(buf: &mut impl Buf) -> Result<RingId, DecodeError> {
+    get_ring_id(buf)
+}
+
 /// Frames an opaque higher-layer payload (membership / client protocol)
 /// with the standard envelope so it can share the data socket.
 pub fn encode_opaque(payload: &[u8]) -> Bytes {
@@ -379,6 +400,22 @@ mod tests {
         token.rtr.clear();
         let back = decode_token(&mut encode_token(&token)).unwrap();
         assert_eq!(back, token);
+    }
+
+    #[test]
+    fn token_request_roundtrip() {
+        let ring = RingId::new(ParticipantId::new(3), 41);
+        let mut buf = BytesMut::new();
+        encode_token_request_into(ring, &mut buf);
+        assert_eq!(buf.len(), ENVELOPE_LEN + RING_ID_LEN);
+        let mut bytes = buf.freeze();
+        assert_eq!(decode_kind(&mut bytes).unwrap(), Kind::TokenRequest);
+        assert_eq!(decode_token_request_body(&mut bytes).unwrap(), ring);
+        let mut cut = bytes.slice(..0);
+        assert_eq!(
+            decode_token_request_body(&mut cut),
+            Err(DecodeError::Truncated)
+        );
     }
 
     #[test]

@@ -546,20 +546,20 @@ impl SessionMux {
             while self.recv_leases.len() < RECV_BATCH {
                 self.recv_leases.push(self.pool.acquire());
             }
-            let (outcome, meta) = {
+            // Slots and per-datagram metadata live on the stack, so an
+            // empty poll allocates nothing.
+            let mut meta = [(0usize, None); RECV_BATCH];
+            let outcome = {
                 let sock = self.socket.as_ref().expect("checked above");
-                let mut slots: Vec<RecvSlot<'_>> = self
-                    .recv_leases
-                    .iter_mut()
-                    .map(|l| RecvSlot::new(l.recv_space()))
-                    .collect();
+                let mut leases = self.recv_leases.iter_mut();
+                let mut slots: [RecvSlot<'_>; RECV_BATCH] = std::array::from_fn(|_| {
+                    RecvSlot::new(leases.next().expect("topped up above").recv_space())
+                });
                 let outcome = sock.recv_batch(&mut slots);
-                let meta: Vec<(usize, SocketAddr)> = slots
-                    .iter()
-                    .take_while(|s| s.addr.is_some())
-                    .map(|s| (s.len, s.addr.expect("filled slot")))
-                    .collect();
-                (outcome, meta)
+                for (m, slot) in meta.iter_mut().zip(&slots) {
+                    *m = (slot.len, slot.addr);
+                }
+                outcome
             };
             let outcome = match outcome {
                 Ok(o) => o,
@@ -573,8 +573,9 @@ impl SessionMux {
                 break;
             }
             total += outcome.received;
-            let used: Vec<BufLease> = self.recv_leases.drain(..outcome.received).collect();
-            for (lease, (len, addr)) in used.into_iter().zip(meta) {
+            let mut leases = std::mem::take(&mut self.recv_leases);
+            for (lease, (len, addr)) in leases.drain(..outcome.received).zip(meta) {
+                let addr = addr.expect("received slots form a filled prefix");
                 // Parse in place: the frame (and any submit payload it
                 // carries) is a slice of the pooled buffer.
                 let mut datagram = lease.freeze_prefix(len);
@@ -583,6 +584,7 @@ impl SessionMux {
                     Err(_) => self.stats.bad_frames += 1,
                 }
             }
+            self.recv_leases = leases;
             if outcome.received < RECV_BATCH {
                 break;
             }

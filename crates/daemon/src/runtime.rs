@@ -747,6 +747,9 @@ impl<E: DaemonEngine> Pump<E> {
         let mut ingress: Vec<Ingress> = Vec::new();
 
         let exit = 'pump: loop {
+            // Whether the session socket may hold a datagram: a park that
+            // timed out on it says no, so the tick skips its recvmmsg.
+            let mut session_readable = true;
             if session_fd.is_some() {
                 // Skip the park entirely while egress is backed up: drain it.
                 let tick = if self.io.mux.has_pending_egress() {
@@ -754,7 +757,7 @@ impl<E: DaemonEngine> Pump<E> {
                 } else {
                     REACTOR_TICK
                 };
-                poller.wait(tick);
+                session_readable = poller.wait(tick).may_read(0);
             } else {
                 let mut sel = Select::new();
                 sel.recv(&cmd_rx);
@@ -779,7 +782,9 @@ impl<E: DaemonEngine> Pump<E> {
             }
             // Session ingest before the engine flush: submits that just
             // arrived ride the same flush as this tick's command traffic.
-            self.io.mux.ingest(&mut ingress);
+            if session_readable {
+                self.io.mux.ingest(&mut ingress);
+            }
             if !ingress.is_empty() {
                 self.handle_ingress(&mut ingress);
             }

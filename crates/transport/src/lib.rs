@@ -55,7 +55,7 @@ pub use node::{
     AppEvent, BoundNode, KillSwitch, NodeHandle, NodeOptions, SubmitError, TransportError,
     TransportProbe, TransportStats,
 };
-pub use poller::Poller;
+pub use poller::{Poller, Readiness};
 pub use shm::{ShmCounters, ShmSocket};
 pub use socket::{DatagramSocket, RecvOutcome, RecvSlot, SendOutcome};
 

@@ -21,6 +21,7 @@ use std::ptr;
 
 use bytes::Bytes;
 
+use crate::poller::MAX_FDS;
 use crate::socket::{RecvOutcome, RecvSlot, SendOutcome};
 
 /// Messages per `sendmmsg`/`recvmmsg` invocation (headers live on the
@@ -80,6 +81,7 @@ extern "C" {
 }
 
 #[repr(C)]
+#[derive(Clone, Copy)]
 struct PollFd {
     fd: i32,
     events: i16,
@@ -94,28 +96,42 @@ struct TimeSpec {
 
 const POLLIN: i16 = 1;
 
-/// Blocks until one of `fds` is readable or `timeout` passes.
+/// Blocks until one of `fds` is readable or `timeout` passes, and
+/// returns which were: bit `i` set means `fds[i]` reported `POLLIN` (or
+/// an error or hang-up, which a read will surface). A failed `ppoll`
+/// (`EINTR`) reports every descriptor, so callers re-read rather than
+/// miss a datagram. A zero `timeout` polls without blocking.
 ///
 /// The event loop's idle wait: a datagram wakes it immediately instead
 /// of it sleeping a fixed quantum and finding the token stale — on a
 /// busy ring the token spends its life in flight, so fixed-quantum
 /// dozing quantizes the whole rotation.
-pub(crate) fn wait_readable(fds: &[i32], timeout: std::time::Duration) {
-    let mut pollfds: Vec<PollFd> = fds
-        .iter()
-        .map(|&fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        })
-        .collect();
+pub(crate) fn wait_readable(fds: &[i32], timeout: std::time::Duration) -> u64 {
+    assert!(fds.len() <= MAX_FDS, "poll set holds {MAX_FDS} fds");
+    let mut pollfds = [PollFd {
+        fd: -1,
+        events: POLLIN,
+        revents: 0,
+    }; MAX_FDS];
+    for (slot, &fd) in pollfds.iter_mut().zip(fds) {
+        slot.fd = fd;
+    }
     let ts = TimeSpec {
         sec: timeout.as_secs() as i64,
         nsec: i64::from(timeout.subsec_nanos()),
     };
-    // SAFETY: `pollfds` and `ts` outlive the call; a null sigmask means
-    // "don't touch the signal mask", per the ppoll contract.
-    let _ = unsafe { ppoll(pollfds.as_mut_ptr(), pollfds.len() as u64, &ts, ptr::null()) };
+    // SAFETY: `pollfds` and `ts` outlive the call and the kernel reads
+    // only the first `fds.len()` entries; a null sigmask means "don't
+    // touch the signal mask", per the ppoll contract.
+    let n = unsafe { ppoll(pollfds.as_mut_ptr(), fds.len() as u64, &ts, ptr::null()) };
+    if n < 0 {
+        return u64::MAX;
+    }
+    pollfds[..fds.len()]
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.revents != 0)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
 }
 
 const SOL_SOCKET: i32 = 1;

@@ -13,9 +13,13 @@
 //! so survivors reform without waiting out the token-loss timeout.
 //!
 //! An idle ring costs next to nothing: the ring leader holds a token that
-//! has come back around unchanged for up to `IDLE_HOLD` instead of
-//! passing it straight on, and a parked loop wakes on its sockets, its
-//! doorbells or its next deadline, never on a polling quantum.
+//! has come back around unchanged for up to an eighth of the
+//! token-retransmit timeout instead of passing it straight on, a member
+//! with new work asks the leader for it with one small datagram, and a
+//! parked loop wakes on its sockets, its doorbells or its next deadline,
+//! never on a polling quantum. Kernel sockets are read only while the
+//! last wait or probe reported them readable, so a drained socket costs
+//! no re-poll.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -39,7 +43,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, Try
 use crate::addr::{AddressBook, NodeAddr};
 use crate::doorbell::Doorbell;
 use crate::fault::{FaultPlane, InterposedSocket, SocketClass};
-use crate::poller::Poller;
+use crate::poller::{Poller, Readiness};
 use crate::shm::{ShmCounters, ShmSocket};
 use crate::socket::{DatagramSocket, RecvSlot, SendOutcome};
 use crate::Transport;
@@ -52,11 +56,6 @@ const MAX_DATAGRAM: usize = 65_536;
 /// on. Every other idle wait parks until a datagram, a doorbell, a
 /// protocol timer or the idle-hold deadline.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
-/// How long the ring leader holds a token that came back around idle
-/// before passing it on (see [`token_is_idle`]). Clamped per node to an
-/// eighth of the token-retransmit timeout, so no configuration ever sees
-/// a held token as lost.
-const IDLE_HOLD: Duration = Duration::from_micros(500);
 /// Upper bound of an event-driven park. Membership always has a timer
 /// armed, so this only caps a park if it somehow had none.
 const PARK_CAP: Duration = Duration::from_secs(1);
@@ -105,6 +104,8 @@ struct StatsInner {
     submissions: AtomicU64,
     submissions_shed: AtomicU64,
     thread_panics: AtomicU64,
+    token_requests_sent: AtomicU64,
+    holds_released_by_request: AtomicU64,
 }
 
 /// A point-in-time copy of a node's transport counters.
@@ -150,6 +151,8 @@ impl StatsInner {
                 syscalls_tx: self.syscalls_tx.load(Ordering::Relaxed),
                 pool_hits: 0,   // filled from the pools by the callers
                 pool_misses: 0, // that hold the pool handles
+                token_requests_sent: self.token_requests_sent.load(Ordering::Relaxed),
+                holds_released_by_request: self.holds_released_by_request.load(Ordering::Relaxed),
             },
             shm: ShmPathStats::default(), // filled from the ShmCounters
         }
@@ -517,9 +520,9 @@ impl BoundNode {
             control: Doorbell::new()?,
             submit: Doorbell::new()?,
         });
-        let hold = IDLE_HOLD.min(Duration::from_nanos(
-            membership.token_retransmit_timeout / 8,
-        ));
+        // An eighth of the retransmit timeout, so no configuration ever
+        // sees a held token as lost.
+        let hold = Duration::from_nanos(membership.token_retransmit_timeout / 8);
         let interposed = options.plane.is_some();
         let stop = Arc::new(AtomicBool::new(false));
         let leave = Arc::new(AtomicBool::new(false));
@@ -557,8 +560,14 @@ impl BoundNode {
                         _ => poller.set_fds(&[data, token]),
                     }
                 }
+                let gated = [
+                    data_socket.level_triggered(),
+                    token_socket.level_triggered(),
+                ];
                 let mut event_loop = EventLoop {
                     pid,
+                    gated,
+                    maybe_readable: [true; 2],
                     data_socket,
                     token_socket,
                     fanout: book.fanout_data(pid),
@@ -571,6 +580,8 @@ impl BoundNode {
                     hold,
                     held: None,
                     last_forwarded: None,
+                    request_ring: None,
+                    requested: None,
                     park_on_events,
                     stop,
                     leave,
@@ -672,10 +683,12 @@ impl KillSwitch {
 /// A node's two doorbells, shared by the event loop and its handles.
 ///
 /// `control` is armed on every park and rung by stop, leave, kill and
-/// injected commands. `submit` is armed only while the loop parks holding
-/// an idle token: that is the one time a submission changes what the loop
-/// does before its next datagram, since everywhere else the message waits
-/// for the token anyway. So on a busy ring a submit pays no syscall.
+/// injected commands. `submit` is armed only while the loop parks either
+/// holding an idle token or, at any other member, after forwarding a
+/// quiet one: those are the times a submission changes what the loop
+/// does before its next datagram (release the token, or ask the leader
+/// for it), since everywhere else the message waits for the token anyway.
+/// So on a busy ring a submit pays no syscall.
 #[derive(Debug)]
 struct Wakeup {
     control: Doorbell,
@@ -718,8 +731,9 @@ impl NodeHandle {
 
     /// Submits a message for totally ordered multicast. A ring leader
     /// parked on an idle token is woken and passes the token on with the
-    /// message aboard; any other node picks the message up when the token
-    /// next reaches it.
+    /// message aboard; a node that last saw the ring quiet asks the
+    /// leader for the token; any other node picks the message up when the
+    /// token next reaches it.
     ///
     /// # Errors
     ///
@@ -832,9 +846,24 @@ impl Drop for NodeHandle {
     }
 }
 
+/// Index of the data socket in [`EventLoop::gated`],
+/// [`EventLoop::maybe_readable`] and the poller's descriptor set.
+const DATA: usize = 0;
+/// Index of the token socket, likewise.
+const TOKEN: usize = 1;
+
 /// Everything the daemon thread owns; `run` is the thread body.
 struct EventLoop {
     pid: ParticipantId,
+    /// Per socket (`[DATA, TOKEN]`): whether `ppoll` readiness gates its
+    /// reads ([`DatagramSocket::level_triggered`]: a bare kernel socket).
+    /// Ungated sockets are read on every step.
+    gated: [bool; 2],
+    /// Per gated socket: whether it may hold a datagram. Set by a wait or
+    /// probe that reports it readable (or could not look), cleared by a
+    /// receive burst shorter than [`RECV_BATCH`]. A gated socket whose
+    /// flag is clear is not read.
+    maybe_readable: [bool; 2],
     data_socket: Box<dyn DatagramSocket>,
     token_socket: Box<dyn DatagramSocket>,
     book: AddressBook,
@@ -857,6 +886,15 @@ struct EventLoop {
     /// that comes back with the same values went a whole rotation
     /// without anyone ordering anything.
     last_forwarded: Option<(RingId, Seq, Seq)>,
+    /// Set when this node, not the leader, forwarded a quiet token on
+    /// this ring (see [`ring_is_quiet`]): the leader is likely to hold
+    /// it, so new work here asks for it with one token request. Cleared
+    /// by that request and by every non-quiet forward.
+    request_ring: Option<RingId>,
+    /// At the leader: a token request for its ring that arrived while it
+    /// held nothing, the quiet token still on its way. The next token of
+    /// that ring is passed on, not held. Cleared by every arriving token.
+    requested: Option<RingId>,
     /// Whether an idle wait may park until the next event. False under a
     /// fault plane and without descriptors; those waits doze in
     /// [`IDLE_SLEEP`] quanta.
@@ -899,24 +937,56 @@ struct IdleView {
     last_forwarded: Option<(RingId, Seq, Seq)>,
 }
 
-/// Whether the ring leader may hold `token` instead of processing it at
-/// once. Only position 0 holds: it is the member that starts each
-/// rotation, so a hold there idles every member, and one holder keeps
-/// the rule free of coordination. The token must show a quiet ring —
-/// nothing sent last rotation (`fcc`), nothing missing (`rtr`),
-/// everything received everywhere (`aru == seq`), and no change since
-/// this node last passed it on — and the node must have nothing of its
-/// own to order or deliver.
-fn token_is_idle(token: &Token, view: &IdleView) -> bool {
-    view.position == Some(0)
-        && view.operational
-        && view.send_queue == 0
-        && !view.commands_waiting
+/// Whether `token` shows a quiet ring from this node: nothing sent last
+/// rotation (`fcc`), nothing missing (`rtr`), everything received
+/// everywhere (`aru == seq`), no change since this node last passed it
+/// on, nothing here awaiting Safe delivery or discard, and membership
+/// Operational.
+fn ring_is_quiet(token: &Token, view: &IdleView) -> bool {
+    view.operational
         && view.buffered == 0
         && token.fcc == 0
         && token.rtr.is_empty()
         && token.aru == token.seq
         && view.last_forwarded == Some((token.ring_id, token.seq, token.aru))
+}
+
+/// Whether the ring leader may hold `token` instead of processing it at
+/// once. Only position 0 holds: it is the member that starts each
+/// rotation, so a hold there idles every member, and one holder keeps
+/// the rule free of coordination. The ring must be quiet
+/// ([`ring_is_quiet`]) and the node must have nothing of its own to
+/// order.
+fn token_is_idle(token: &Token, view: &IdleView) -> bool {
+    view.position == Some(0)
+        && view.send_queue == 0
+        && !view.commands_waiting
+        && ring_is_quiet(token, view)
+}
+
+/// What a token request does at the node that receives it.
+#[derive(Debug, PartialEq, Eq)]
+enum OnRequest {
+    /// End the hold on the held token of the requested ring.
+    Release,
+    /// The leader of the requested ring holds nothing: the token is still
+    /// on its way, and the request overtook it. Pass the next quiet token
+    /// of that ring on instead of holding it.
+    Remember,
+    /// A request from an older configuration, or at a node that does not
+    /// lead the requested ring.
+    Ignore,
+}
+
+/// What a token request for `ring` does at a node holding `held` (if
+/// anything) that leads `leading` (the ring it is position 0 of, if
+/// any).
+fn on_request(held: Option<&Token>, leading: Option<RingId>, ring: RingId) -> OnRequest {
+    match held {
+        Some(token) if token.ring_id == ring => OnRequest::Release,
+        None if leading == Some(ring) => OnRequest::Remember,
+        _ => OnRequest::Ignore,
+    }
 }
 
 impl EventLoop {
@@ -964,7 +1034,11 @@ impl EventLoop {
     /// raced the idle decision; kernel sockets return false and rely on
     /// `ppoll` level-triggering. `commands` says whether waiting commands
     /// count as work (not while draining for a leave).
-    fn idle_wait(&self, commands: bool) {
+    ///
+    /// The park refreshes [`EventLoop::maybe_readable`] from the sockets'
+    /// readiness; a skipped park marks every socket maybe-readable, so
+    /// the next step reads them all.
+    fn idle_wait(&mut self, commands: bool) {
         let now = self.now_ns();
         let mut timeout = if self.park_on_events {
             PARK_CAP
@@ -975,23 +1049,40 @@ impl EventLoop {
         for deadline in deadlines.into_iter().chain(self.held.as_ref().map(|h| h.1)) {
             timeout = timeout.min(Duration::from_nanos(deadline.saturating_sub(now)));
         }
-        let holding = self.held.is_some();
+        // A submit matters now only at a leader holding an idle token or
+        // at a member that would ask the leader for it.
+        let submit_wakes = self.held.is_some() || self.request_ring.is_some();
         self.wake.control.arm();
-        if holding {
+        if submit_wakes {
             self.wake.submit.arm();
         }
+        // Waiting commands are work only if the loop can take them: while
+        // a refused submission waits for send-queue room, only a token
+        // (a datagram) makes room, and the park wakes for that.
         let ready = self.data_socket.prepare_wait() | self.token_socket.prepare_wait()
-            || (commands && !self.cmd_rx.is_empty())
+            || (commands && self.pending_submit.is_none() && !self.cmd_rx.is_empty())
             || self.stop.load(Ordering::Relaxed)
             || self.leave.load(Ordering::Relaxed);
-        if !ready {
-            self.poller.wait(timeout);
-        }
+        let readiness = if ready {
+            Readiness::MAYBE_ALL
+        } else {
+            self.poller.wait(timeout)
+        };
+        self.note_readiness(readiness);
         if !self.wake.control.disarm() {
             self.wake.control.drain();
         }
-        if holding && !self.wake.submit.disarm() {
+        if submit_wakes && !self.wake.submit.disarm() {
             self.wake.submit.drain();
+        }
+    }
+
+    /// Folds a wait's or probe's report into the gated sockets' flags.
+    fn note_readiness(&mut self, readiness: Readiness) {
+        for socket in [DATA, TOKEN] {
+            if self.gated[socket] {
+                self.maybe_readable[socket] = readiness.may_read(socket);
+            }
         }
     }
 
@@ -1008,6 +1099,12 @@ impl EventLoop {
             buffered: participant.buffered(),
             last_forwarded: self.last_forwarded,
         }
+    }
+
+    /// The ring this node is position 0 of, if any.
+    fn leading(&self) -> Option<RingId> {
+        let ring = self.daemon.participant().ring();
+        (ring.index_of(self.pid) == Some(0)).then(|| ring.id())
     }
 
     /// Hands the held token (if any) to the protocol, which processes
@@ -1081,29 +1178,43 @@ impl EventLoop {
             }
         }
 
-        // 2. The held idle token, after the commands so a submit that
+        // 2. Work that just reached the send queue of a member that last
+        //    saw the ring quiet: the leader is probably holding the token,
+        //    so ask for it.
+        if self.request_ring.is_some() && self.daemon.participant().send_queue_len() > 0 {
+            self.request_token();
+        }
+
+        // 3. The held idle token, after the commands so a submit that
         //    ends the hold rides the very token it releases.
         if self.service_hold(outputs) {
             did_work = true;
         }
 
-        // 3. Sockets, in protocol priority order (Section III-D): when the
+        // 4. Sockets, in protocol priority order (Section III-D): when the
         //    token has priority, drain the token socket first. One bounded
         //    batch per iteration, so priority is re-evaluated between
         //    batches rather than starving the token behind a data flood.
+        //    A gated socket the last wait or probe found empty is skipped.
         let token_first = self.daemon.token_has_priority();
-        for pick_token in if token_first {
-            [true, false]
+        let mut skipped = false;
+        let mut read_work = false;
+        for socket in if token_first {
+            [TOKEN, DATA]
         } else {
-            [false, true]
+            [DATA, TOKEN]
         } {
-            if self.recv_burst(pick_token, outputs) > 0 {
-                did_work = true;
+            if self.gated[socket] && !self.maybe_readable[socket] {
+                skipped = true;
+                continue;
+            }
+            if self.recv_burst(socket, outputs) > 0 {
+                read_work = true;
                 break; // re-evaluate priority after every batch
             }
         }
 
-        // 4. Timers.
+        // 5. Timers.
         while let Some((deadline, kind)) = self.daemon.next_timer() {
             if deadline > self.now_ns() {
                 break;
@@ -1114,36 +1225,88 @@ impl EventLoop {
             did_work = true;
         }
 
-        did_work
+        // 6. A step that skipped a socket and will not park next — it ran
+        //    commands, the hold or timers, or left a full batch waiting —
+        //    refreshes the flags with one zero-timeout probe, so neither a
+        //    data flood nor a command stream can starve a skipped socket.
+        //    A step whose only work was a short burst parks next, and the
+        //    park refreshes them.
+        let batch_left = [DATA, TOKEN]
+            .into_iter()
+            .any(|socket| self.gated[socket] && self.maybe_readable[socket]);
+        if skipped && (did_work || batch_left) {
+            // The probe is a receive-side syscall like any recvmmsg.
+            if !self.poller.fds().is_empty() {
+                self.stats.syscalls_rx.fetch_add(1, Ordering::Relaxed);
+            }
+            let readiness = self.poller.probe();
+            self.note_readiness(readiness);
+        }
+
+        did_work || read_work
+    }
+
+    /// Asks the ring leader for the token it is probably holding idle: one
+    /// token request to position 0's token socket, for the ring this node
+    /// last saw quiet. No second request goes out until a token reaches
+    /// this node again (its forward re-arms [`EventLoop::request_ring`]).
+    /// A request that overtakes the token is remembered at the leader, so
+    /// the token is not held when it arrives; a lost request costs at most
+    /// one hold.
+    fn request_token(&mut self) {
+        let Some(ring_id) = self.request_ring.take() else {
+            return;
+        };
+        let ring = self.daemon.participant().ring();
+        if ring.id() != ring_id || self.daemon.state() != StateKind::Operational {
+            return;
+        }
+        let Some(leader) = ring.members().first().and_then(|&pid| self.book.get(pid)) else {
+            return;
+        };
+        let mut lease = self.send_pool.acquire();
+        lease.clear();
+        wire::encode_token_request_into(ring_id, &mut lease);
+        let out = self
+            .token_socket
+            .send_batch(&[(lease.freeze(), leader.token)]);
+        self.record_send(out);
+        self.stats
+            .token_requests_sent
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Batched receive: drain up to [`RECV_BATCH`] datagrams from one
-    /// socket in as few syscalls as the platform allows, parse each in
-    /// place from its pooled buffer, then flush all resulting output as
-    /// gathered bursts. Returns the number of datagrams received.
-    fn recv_burst(&mut self, pick_token: bool, outputs: &mut Vec<Output>) -> usize {
+    /// socket (`DATA` or `TOKEN`) in as few syscalls as the platform
+    /// allows, parse each in place from its pooled buffer, then flush all
+    /// resulting output as gathered bursts. Returns the number of
+    /// datagrams received. Allocates nothing: the receive slots and
+    /// lengths live on the stack and the filled leases are drained from
+    /// the reused lease vector.
+    fn recv_burst(&mut self, socket: usize, outputs: &mut Vec<Output>) -> usize {
         while self.recv_leases.len() < RECV_BATCH {
             self.recv_leases.push(self.recv_pool.acquire());
         }
-        let (outcome, lens) = {
-            let leases = &mut self.recv_leases;
-            let socket: &dyn DatagramSocket = if pick_token {
+        let mut lens = [0usize; RECV_BATCH];
+        let outcome = {
+            let sock: &dyn DatagramSocket = if socket == TOKEN {
                 self.token_socket.as_ref()
             } else {
                 self.data_socket.as_ref()
             };
-            let mut slots: Vec<RecvSlot<'_>> = leases
-                .iter_mut()
-                .map(|l| RecvSlot::new(l.recv_space()))
-                .collect();
-            let outcome = socket.recv_batch(&mut slots);
+            let mut leases = self.recv_leases.iter_mut();
+            let mut slots: [RecvSlot<'_>; RECV_BATCH] = std::array::from_fn(|_| {
+                RecvSlot::new(leases.next().expect("topped up above").recv_space())
+            });
+            let outcome = sock.recv_batch(&mut slots);
             // Filled slots form a prefix; remember their datagram lengths.
-            let lens: Vec<usize> = slots
-                .iter()
-                .take_while(|s| s.addr.is_some())
-                .map(|s| s.len)
-                .collect();
-            (outcome, lens)
+            for (len, slot) in lens.iter_mut().zip(&slots) {
+                if slot.addr.is_none() {
+                    break;
+                }
+                *len = slot.len;
+            }
+            outcome
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -1158,39 +1321,65 @@ impl EventLoop {
         self.stats
             .syscalls_rx
             .fetch_add(outcome.syscalls, Ordering::Relaxed);
+        if outcome.received < RECV_BATCH {
+            // Drained: skip this socket until the poller reports it again.
+            self.maybe_readable[socket] = false;
+        }
         if outcome.received == 0 {
             return 0;
         }
         self.stats
             .datagrams_rx
             .fetch_add(outcome.received as u64, Ordering::Relaxed);
-        let used: Vec<BufLease> = self.recv_leases.drain(..outcome.received).collect();
-        for (lease, len) in used.into_iter().zip(lens) {
+        let mut leases = std::mem::take(&mut self.recv_leases);
+        for (lease, len) in leases.drain(..outcome.received).zip(lens) {
             // Freeze only the datagram prefix: the parse reads in place
             // and any payload slice keeps the pooled buffer leased until
             // the protocol discards the message.
             let mut datagram = lease.freeze_prefix(len);
-            if let Some(input) = parse_datagram(&mut datagram) {
-                let input = match input {
-                    Input::Token(token) => {
-                        // At most one token is ever held; a second one (a
-                        // retransmission) releases the first ahead of it.
-                        self.release_held(outputs);
-                        if self.hold > Duration::ZERO && token_is_idle(&token, &self.idle_view()) {
+            let input = match parse_datagram(&mut datagram) {
+                Some(Inbound::Protocol(Input::Token(token))) => {
+                    // At most one token is ever held; a second one (a
+                    // retransmission) releases the first ahead of it.
+                    self.release_held(outputs);
+                    let asked = self.requested.take() == Some(token.ring_id);
+                    if self.hold > Duration::ZERO && token_is_idle(&token, &self.idle_view()) {
+                        if !asked {
                             let deadline = self.now_ns() + self.hold.as_nanos() as u64;
                             self.held = Some((token, deadline));
                             continue;
                         }
-                        Input::Token(token)
+                        // A member asked before the token got here.
+                        self.stats
+                            .holds_released_by_request
+                            .fetch_add(1, Ordering::Relaxed);
                     }
-                    other => other,
-                };
-                let now = self.now_ns();
-                self.daemon.handle(now, input, outputs);
-            } else {
-                self.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
-            }
+                    Input::Token(token)
+                }
+                Some(Inbound::Protocol(input)) => input,
+                Some(Inbound::TokenRequest(ring)) => {
+                    let held = self.held.as_ref().map(|(token, _)| token);
+                    match on_request(held, self.leading(), ring) {
+                        OnRequest::Release => {
+                            self.release_held(outputs);
+                            self.stats
+                                .holds_released_by_request
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
+                        OnRequest::Remember => self.requested = Some(ring),
+                        OnRequest::Ignore => {}
+                    }
+                    continue;
+                }
+                None => {
+                    self.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+            };
+            let now = self.now_ns();
+            self.daemon.handle(now, input, outputs);
         }
+        self.recv_leases = leases;
         self.flush(outputs);
         outcome.received
     }
@@ -1300,6 +1489,12 @@ impl EventLoop {
                     let mut lease = self.send_pool.acquire();
                     lease.clear();
                     wire::encode_token_into(&token, &mut lease);
+                    // A member that forwards a quiet token expects the
+                    // leader to hold it: new work here should ask for it.
+                    let view = self.idle_view();
+                    let member = view.position.is_some_and(|p| p > 0);
+                    self.request_ring =
+                        (member && ring_is_quiet(&token, &view)).then_some(token.ring_id);
                     self.last_forwarded = Some((token.ring_id, token.seq, token.aru));
                     if let Some(peer) = self.book.get(to) {
                         token_batch.push((lease.freeze(), peer.token));
@@ -1349,12 +1544,25 @@ impl EventLoop {
     }
 }
 
-fn parse_datagram(datagram: &mut Bytes) -> Option<Input> {
-    match wire::decode_kind(datagram).ok()? {
-        wire::Kind::Data => Some(Input::Data(wire::decode_data_body(datagram).ok()?)),
-        wire::Kind::Token => Some(Input::Token(wire::decode_token_body(datagram).ok()?)),
-        wire::Kind::Opaque => Some(Input::Control(decode_control(datagram).ok()?)),
-    }
+/// A parsed datagram: protocol input for membership, or a token request
+/// the event loop answers itself.
+enum Inbound {
+    Protocol(Input),
+    TokenRequest(RingId),
+}
+
+fn parse_datagram(datagram: &mut Bytes) -> Option<Inbound> {
+    let input = match wire::decode_kind(datagram).ok()? {
+        wire::Kind::Data => Input::Data(wire::decode_data_body(datagram).ok()?),
+        wire::Kind::Token => Input::Token(wire::decode_token_body(datagram).ok()?),
+        wire::Kind::Opaque => Input::Control(decode_control(datagram).ok()?),
+        wire::Kind::TokenRequest => {
+            return Some(Inbound::TokenRequest(
+                wire::decode_token_request_body(datagram).ok()?,
+            ))
+        }
+    };
+    Some(Inbound::Protocol(input))
 }
 
 #[cfg(test)]
@@ -1436,5 +1644,60 @@ mod tests {
             ..view
         };
         assert!(!token_is_idle(&token, &fresh), "never passed a token on");
+    }
+
+    #[test]
+    fn a_member_sees_a_quiet_ring_but_never_holds() {
+        let (token, view) = idle();
+        let member = IdleView {
+            position: Some(2),
+            ..view
+        };
+        assert!(ring_is_quiet(&token, &member));
+        assert!(!token_is_idle(&token, &member));
+        let buffered = IdleView {
+            buffered: 1,
+            ..member
+        };
+        assert!(
+            !ring_is_quiet(&token, &buffered),
+            "a member still awaiting Safe delivery or discard"
+        );
+    }
+
+    #[test]
+    fn a_request_for_the_held_ring_releases_the_hold() {
+        let (token, _) = idle();
+        assert_eq!(
+            on_request(Some(&token), Some(ring()), ring()),
+            OnRequest::Release
+        );
+    }
+
+    #[test]
+    fn a_request_for_a_stale_ring_is_ignored() {
+        let (token, _) = idle();
+        let older = RingId::new(ParticipantId::new(0), 3);
+        let other_rep = RingId::new(ParticipantId::new(1), 4);
+        for stale in [older, other_rep] {
+            assert_eq!(
+                on_request(Some(&token), Some(ring()), stale),
+                OnRequest::Ignore
+            );
+            assert_eq!(on_request(None, Some(ring()), stale), OnRequest::Ignore);
+        }
+    }
+
+    #[test]
+    fn a_request_at_a_node_not_holding_the_token_is_ignored() {
+        // A member never holds, so a request that reaches it is stray.
+        assert_eq!(on_request(None, None, ring()), OnRequest::Ignore);
+    }
+
+    #[test]
+    fn a_request_that_arrives_before_the_token_is_remembered() {
+        // The leader holds nothing yet: the quiet token is still on its
+        // way, overtaken by the request, and is passed on when it comes.
+        assert_eq!(on_request(None, Some(ring()), ring()), OnRequest::Remember);
     }
 }

@@ -157,6 +157,18 @@ pub trait DatagramSocket: Send + std::fmt::Debug {
     fn prepare_wait(&self) -> bool {
         false
     }
+
+    /// Whether `ppoll` on [`poll_fd`](DatagramSocket::poll_fd) reports
+    /// readable exactly while a receive would find a datagram — a kernel
+    /// socket's level-triggered readiness. Only such a socket may be
+    /// skipped while a wait or probe reports it not readable; the event
+    /// loop re-reads every other socket on every step. The shm backend's
+    /// doorbell fires on sleep edges only, and the fault interposer must
+    /// be touched to release delayed datagrams, so both keep the
+    /// default `false`.
+    fn level_triggered(&self) -> bool {
+        false
+    }
 }
 
 impl DatagramSocket for UdpSocket {
@@ -182,6 +194,11 @@ impl DatagramSocket for UdpSocket {
     fn poll_fd(&self) -> Option<i32> {
         use std::os::fd::AsRawFd;
         Some(self.as_raw_fd())
+    }
+
+    #[cfg(target_os = "linux")]
+    fn level_triggered(&self) -> bool {
+        true
     }
 }
 
